@@ -1,0 +1,12 @@
+"""Put ``src`` and the benchmark's own modules on the import path.
+
+Run with ``python3 -m pytest perfbench/tests`` from the repository root.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT / "src", ROOT / "perfbench"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
