@@ -50,12 +50,14 @@ campaign-smoke:
 	test -z "$$(find results/.campaigns/smoke/queue \
 		results/.campaigns/smoke/failed -type f 2>/dev/null)"
 
-# Golden-metrics regression harness (tests/golden/quick_suite.json).
+# Golden-metrics regression harness: every tests/golden/*.json, re-run
+# and diffed exactly, then replayed on the scalar DRAM engine + front-end.
 golden-check:
-	$(RUN_REPRO) sweep --check-golden $(SWEEP_JOBS)
+	$(RUN_REPRO) golden check
+	$(RUN_REPRO) golden check --scalar
 
 golden-update:
-	$(RUN_REPRO) sweep --update-golden $(SWEEP_JOBS)
+	$(RUN_REPRO) golden update
 
 # Regenerate the memory-technology comparison table + latency sweep
 # (results/memory_technology.{txt,json}): local DDR4/DDR5 vs the modeled
@@ -65,12 +67,12 @@ memtech:
 		benchmarks/test_memory_technology.py --benchmark-only
 
 # The CI far-memory smoke: a tiny cxl run end to end through the CLI,
-# then the memory-technology golden grid replayed on the scalar DRAM
-# oracle — both engines must reproduce the committed file bitwise.
+# then the memory-technology golden grid on both engines — each must
+# reproduce the committed file bitwise.
 remote-smoke:
 	$(RUN_REPRO) run IS --quick --dram cxl --configs baseline dx100
-	PYTHONPATH=src $(PYTHON) -m repro.sim.memtech --check
-	PYTHONPATH=src $(PYTHON) -m repro.sim.memtech --check --engine scalar
+	$(RUN_REPRO) golden check memtech
+	$(RUN_REPRO) golden check --scalar memtech
 
 # Where does the wall-clock go?  cProfile hotspots + per-component
 # attribution + stage timers for one run (PROFILE_ARGS to customize, e.g.

@@ -23,6 +23,7 @@ from dataclasses import replace
 from repro.common import SystemConfig, geomean
 from repro.common.config import RemoteLinkConfig, cxl_remote, ddr5_6400
 from repro.sim import run_baseline, run_dx100
+from repro.sim.golden import SUITES, check
 from repro.workloads import IntegerSort, SpatterXRAGE
 
 from mainsweep import record
@@ -118,3 +119,8 @@ def test_memory_technology_sensitivity(benchmark):
     for (s_lo, base_lo, _), (s_hi, base_hi, _) in zip(sweep, sweep[1:]):
         assert s_hi > s_lo, "speedup must grow with link latency"
         assert base_hi > base_lo, "baseline must degrade with latency"
+
+    # Golden pin: the quick scenario grid behind these rows must reproduce
+    # tests/golden/memory_technology.json exactly.
+    problems = check(SUITES["memtech"])
+    assert not problems, "\n".join(problems)

@@ -6,13 +6,13 @@ Usage::
     python -m repro run IS PR --configs baseline dx100
     python -m repro run --all --quick --csv results/results.csv
     python -m repro sweep --quick --jobs 4    # parallel + cached grid
-    python -m repro sweep --update-golden     # refresh golden metrics
+    python -m repro golden check              # every pinned golden file
+    python -m repro golden check --scalar     # same, on the scalar oracles
     python -m repro campaign 'benchmarks=IS,CG dram=ddr4,ddr5' --workers 2
     python -m repro campaign --resume 20260808-1200 --workers 4
     python -m repro run IS --quick --trace results/trace.json
     python -m repro timeline IS --quick       # ASCII observability timeline
     python -m repro serve --tenants 2 --aggressor 1   # multi-tenant QoS
-    python -m repro serve --check-golden      # pinned tenancy scenarios
     python -m repro area                      # Table 4
 
 Each run prints a comparison table; ``--csv`` additionally writes the raw
@@ -25,18 +25,13 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.common import SystemConfig
 from repro.common.config import DRAM_PRESETS, dram_preset
 from repro.dx100.area import area_power
 from repro.sim import run_baseline, run_dx100
+from repro.sim.golden import SUITES
 from repro.sim.report import comparison_table, to_csv
+from repro.sim.sweep import CONFIG_BUILDERS
 from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-
-CONFIG_BUILDERS = {
-    "baseline": lambda cores: SystemConfig.baseline_scaled(cores),
-    "dmp": lambda cores: SystemConfig.dmp_scaled(cores),
-    "dx100": lambda cores: SystemConfig.dx100_scaled(cores),
-}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -83,11 +78,6 @@ def _parser() -> argparse.ArgumentParser:
                           "past every cache (2^25-key IS etc.); full "
                           "defaults to the dx100 configuration and writes "
                           "results/full_scale.json")
-    run.add_argument("--frontend", choices=["batched", "scalar"],
-                     default=None,
-                     help="force the simulation front-end for every run "
-                          "(default: the config's front-end, i.e. batched; "
-                          "scalar replays the per-op cache/core oracle)")
     run.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
                      help="memory technology preset (default: ddr4; cxl "
                           "puts the pool behind the modeled far-memory "
@@ -119,35 +109,14 @@ def _parser() -> argparse.ArgumentParser:
     sweep.add_argument("--prune-cache", action="store_true",
                        help="first delete cache entries from older model "
                             "versions")
-    sweep.add_argument("--update-golden", action="store_true",
-                       help="re-run the quick suite under all three configs "
-                            "and rewrite tests/golden/quick_suite.json "
-                            "(after an intentional model change)")
-    sweep.add_argument("--check-golden", action="store_true",
-                       help="diff the quick suite against "
-                            "tests/golden/quick_suite.json; exit 1 on any "
-                            "mismatch")
     sweep.add_argument("--sample-every", type=int, default=0, metavar="N",
                        help="attach the timeline samplers to every run "
                             "(period N cycles; summaries land in each "
                             "result's extra fields; 0 = off)")
-    sweep.add_argument("--engine", choices=["batched", "scalar"],
-                       default=None,
-                       help="force the DRAM engine for every run (default: "
-                            "the config's engine, i.e. batched; --engine "
-                            "scalar runs the oracle — combine with "
-                            "--check-golden for a full differential check)")
-    sweep.add_argument("--frontend", choices=["batched", "scalar"],
-                       default=None,
-                       help="force the simulation front-end for every run "
-                            "(scalar replays the per-op cache/core oracle — "
-                            "combine with --check-golden for the front-end "
-                            "differential check)")
     sweep.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
                        help="memory technology preset for every task "
                             "(default: ddr4; cxl puts the pool behind the "
-                            "modeled far-memory link; ignored under "
-                            "--check-golden/--update-golden, which pin ddr4)")
+                            "modeled far-memory link)")
     sweep.add_argument("--profile", action="store_true",
                        help="after the timed sweep, re-run the grid once "
                             "under cProfile and record per-component and "
@@ -241,10 +210,6 @@ def _parser() -> argparse.ArgumentParser:
                       help="use the reduced dataset sizes")
     prof.add_argument("--top", type=int, default=25,
                       help="hotspot functions to report (default: 25)")
-    prof.add_argument("--frontend", choices=["batched", "scalar"],
-                      default=None,
-                      help="simulation front-end to profile (default: the "
-                           "config's front-end, i.e. batched)")
     prof.add_argument("--json", metavar="PATH",
                       help="also write the structured report as JSON")
 
@@ -269,18 +234,26 @@ def _parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-borrow", action="store_true",
                        help="disable work-conserving borrow (hard "
                             "partitioning only)")
-    serve.add_argument("--engine", choices=["batched", "scalar"],
-                       default="batched",
-                       help="DRAM engine (scalar = the oracle replay)")
     serve.add_argument("--no-check", action="store_true",
                        help="skip the per-tile QoS invariant checks")
-    serve.add_argument("--update-golden", action="store_true",
-                       help="re-run the canonical tenancy scenarios and "
-                            "rewrite tests/golden/tenancy_quick.json")
-    serve.add_argument("--check-golden", action="store_true",
-                       help="diff the canonical tenancy scenarios against "
-                            "tests/golden/tenancy_quick.json; exit 1 on "
-                            "any mismatch")
+
+    golden = sub.add_parser(
+        "golden",
+        help="re-run the experiments pinned under tests/golden/ and diff "
+             "them exactly (check) or rewrite the files after an "
+             "intentional model change (update)",
+    )
+    action = golden.add_subparsers(dest="action", required=True)
+    suites = {"nargs": "*", "metavar": "SUITE",
+              "help": f"{', '.join(SUITES)} (default: all)"}
+    check = action.add_parser("check", help="exit 1 on any mismatch")
+    check.add_argument("suites", **suites)
+    check.add_argument("--scalar", action="store_true",
+                       help="replay every run on the scalar DRAM engine "
+                            "and the scalar cache/core front-end (the "
+                            "oracles must reproduce the files bitwise)")
+    action.add_parser("update", help="rewrite the golden files").add_argument(
+        "suites", **suites)
 
     sub.add_parser("area", help="print the Table 4 area/power breakdown")
     return parser
@@ -337,8 +310,6 @@ def cmd_run(args) -> int:
             if args.audit:
                 config = replace(config,
                                  dram=replace(config.dram, audit=True))
-            if args.frontend is not None:
-                config = replace(config, frontend=args.frontend)
             wl = registry[name]()
             obs = None
             if args.trace or sample_every:
@@ -391,7 +362,6 @@ def cmd_run(args) -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         payload = {
             "scale": "full",
-            "frontend": args.frontend or "batched",
             "runs": [
                 {
                     "workload": r.workload,
@@ -431,10 +401,7 @@ def cmd_sweep(args) -> int:
     """Parallel, cached sweep over the benchmark x configuration grid."""
     from pathlib import Path
 
-    from repro.sim.sweep import (
-        GOLDEN_PATH, RunCache, diff_golden, golden_snapshot, load_golden,
-        run_main_sweep, write_golden, write_sweep_records,
-    )
+    from repro.sim.sweep import RunCache, run_main_sweep, write_sweep_records
 
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
@@ -446,37 +413,26 @@ def cmd_sweep(args) -> int:
         print(f"pruned {removed} stale cache entr"
               f"{'y' if removed == 1 else 'ies'}", file=sys.stderr)
 
-    golden_mode = args.update_golden or args.check_golden
-    if golden_mode:
-        # The golden suite is pinned: quick sizes, every benchmark, all
-        # three configurations — whatever else was on the command line.
-        quick, benchmarks, modes = True, None, ("baseline", "dmp", "dx100")
-    else:
-        quick = args.quick
-        benchmarks = args.benchmarks or None
-        modes = tuple(args.configs)
-
+    benchmarks = args.benchmarks or None
+    modes = tuple(args.configs)
     try:
         outcome = run_main_sweep(
-            quick=quick, benchmarks=benchmarks, modes=modes, jobs=args.jobs,
-            cache=not args.no_cache, cache_dir=args.cache_dir,
-            sample_every=0 if golden_mode else args.sample_every,
-            engine=args.engine, frontend=args.frontend,
-            dram=None if golden_mode else args.dram,
-            affinity=args.affinity,
+            quick=args.quick, benchmarks=benchmarks, modes=modes,
+            jobs=args.jobs, cache=not args.no_cache,
+            cache_dir=args.cache_dir, sample_every=args.sample_every,
+            dram=args.dram, affinity=args.affinity,
         )
     except ValueError as exc:   # e.g. a bad REPRO_JOBS value
         print(exc, file=sys.stderr)
         return 2
-    if args.profile and not golden_mode:
+    if args.profile:
         # Instrumented second pass, strictly serial, AFTER the timed sweep
         # so the recorded wall_s stays un-instrumented.
         from repro.sim.profile import profile_tasks
         from repro.sim.sweep import main_sweep_tasks
         print("profiling pass (serial, instrumented)...", file=sys.stderr)
-        tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks,
-                                 modes=modes, engine=args.engine,
-                                 frontend=args.frontend, dram=args.dram)
+        tasks = main_sweep_tasks(quick=args.quick, benchmarks=benchmarks,
+                                 modes=modes, dram=args.dram)
         outcome.extras.update(profile_tasks(tasks))
     write_sweep_records(outcome, Path("results"), sweep_json=args.json)
 
@@ -488,29 +444,6 @@ def cmd_sweep(args) -> int:
           f"({fresh_wall:.1f}s of simulation)")
     print(f"sweep record: {args.json or 'results/sweep.json'}; "
           f"perf trajectory: BENCH_mainsweep.json")
-
-    if args.update_golden:
-        path = write_golden(outcome)
-        print(f"golden metrics updated: {path}")
-        return 0
-    if args.check_golden:
-        try:
-            golden = load_golden()
-        except FileNotFoundError:
-            print(f"no golden file at {GOLDEN_PATH}; run "
-                  f"`python -m repro sweep --update-golden`",
-                  file=sys.stderr)
-            return 1
-        problems = diff_golden(golden_snapshot(outcome), golden)
-        if problems:
-            print(f"\ngolden-metrics check FAILED "
-                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            print("if the model change is intentional, regenerate with "
-                  "`python -m repro sweep --update-golden`", file=sys.stderr)
-            return 1
-        print("golden-metrics check passed (bitwise identical)")
     return 0
 
 
@@ -601,8 +534,7 @@ def cmd_profile(args) -> int:
 
     try:
         report = profile_run(benchmark=args.benchmark, mode=args.mode,
-                             quick=args.quick, top=args.top,
-                             frontend=args.frontend)
+                             quick=args.quick, top=args.top)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -660,43 +592,8 @@ def cmd_timeline(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    """Run the multi-tenant serving layer (or its golden harness)."""
-    from repro.common.config import DRAMConfig
-    from repro.serve import make_tenants, serve_run, tenancy_scenarios
-    from repro.serve.golden import (
-        TENANCY_GOLDEN_PATH, diff_tenancy_golden, load_tenancy_golden,
-        tenancy_snapshot, write_tenancy_golden,
-    )
-
-    if args.update_golden or args.check_golden:
-        scenarios = tenancy_scenarios(engine=args.engine)
-        if args.update_golden:
-            path = write_tenancy_golden(scenarios)
-            print(f"tenancy golden metrics updated: {path}")
-            return 0
-        try:
-            golden = load_tenancy_golden()
-        except FileNotFoundError:
-            print(f"no tenancy golden file at {TENANCY_GOLDEN_PATH}; run "
-                  f"`python -m repro serve --update-golden`",
-                  file=sys.stderr)
-            return 1
-        snapshot = tenancy_snapshot(scenarios)
-        if args.engine != "batched":
-            # The golden file is pinned under the batched engine; the
-            # scalar replay must match it everywhere but the engine label.
-            for entry in snapshot.values():
-                entry["engine"] = "batched"
-        problems = diff_tenancy_golden(snapshot, golden)
-        if problems:
-            print(f"tenancy golden check FAILED "
-                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
-            for p in problems:
-                print(f"  {p}", file=sys.stderr)
-            return 1
-        print(f"tenancy golden check passed (bitwise identical, "
-              f"engine={args.engine})")
-        return 0
+    """Run the multi-tenant serving layer."""
+    from repro.serve import make_tenants, serve_run
 
     if args.tenants < 1:
         print("--tenants must be >= 1", file=sys.stderr)
@@ -704,11 +601,44 @@ def cmd_serve(args) -> int:
     specs = make_tenants(args.tenants, tiles=args.tiles,
                          tile_lines=args.tile_lines, seed=args.seed,
                          aggressor=args.aggressor)
-    config = replace(DRAMConfig(), engine=args.engine)
-    report = serve_run(specs, config=config, borrow=not args.no_borrow,
+    report = serve_run(specs, borrow=not args.no_borrow,
                        check=not args.no_check)
     print(report.render())
     return 0
+
+
+def cmd_golden(args) -> int:
+    """Check or update the golden files (exit 1 on any mismatch)."""
+    from repro.sim.golden import check, update
+
+    unknown = [name for name in args.suites if name not in SUITES]
+    if unknown:
+        print(f"unknown golden suite(s) {', '.join(unknown)}; valid: "
+              f"{', '.join(SUITES)}", file=sys.stderr)
+        return 2
+    failed = 0
+    for name in args.suites or list(SUITES):
+        suite = SUITES[name]
+        if args.action == "update":
+            print(f"golden {name}: updated {update(suite)}")
+            continue
+        engines = "scalar" if args.scalar else "batched"
+        try:
+            problems = check(suite, scalar=args.scalar)
+        except FileNotFoundError:
+            problems = [f"no golden file at {suite.path}"]
+        if problems:
+            failed += 1
+            print(f"golden {name}: FAILED on the {engines} engines "
+                  f"({len(problems)} mismatch(es)):", file=sys.stderr)
+            for problem in problems:
+                print(f"  {problem}", file=sys.stderr)
+            print(f"if the model change is intentional, regenerate with "
+                  f"`python -m repro golden update {name}`", file=sys.stderr)
+        else:
+            print(f"golden {name}: bitwise identical on the {engines} "
+                  f"engines")
+    return 1 if failed else 0
 
 
 def cmd_area() -> int:
@@ -741,6 +671,8 @@ def main(argv=None) -> int:
         return cmd_timeline(args)
     if args.command == "serve":
         return cmd_serve(args)
+    if args.command == "golden":
+        return cmd_golden(args)
     if args.command == "area":
         return cmd_area()
     return 2

@@ -14,9 +14,21 @@ CYCLE_NS = 1.0 / CPU_GHZ
 CACHE_LINE = 64
 
 
+#: Valid ``DRAMConfig.engine`` / ``SystemConfig.frontend`` values.
+ENGINES = ("batched", "scalar")
+PAGE_POLICIES = ("open", "closed")
+
+
 def ns_to_cycles(ns: float) -> int:
     """Convert nanoseconds to (rounded) CPU cycles at 3.2 GHz."""
     return round(ns * CPU_GHZ)
+
+
+def _require(owner: object, name: str, ok: bool, valid: str) -> None:
+    """Reject a config whose field ``name`` is outside its domain."""
+    if not ok:
+        raise ValueError(f"{type(owner).__name__}.{name} must be {valid} "
+                         f"(got {getattr(owner, name)!r})")
 
 
 @dataclass(frozen=True)
@@ -157,6 +169,13 @@ class DRAMConfig:
     #: invisible to both engines.
     remote: RemoteLinkConfig = field(default_factory=RemoteLinkConfig)
 
+    def __post_init__(self) -> None:
+        _require(self, "page_policy", self.page_policy in PAGE_POLICIES,
+                 f"one of {', '.join(PAGE_POLICIES)}")
+        _require(self, "engine", self.engine in ENGINES,
+                 f"one of {', '.join(ENGINES)}")
+        _require(self, "request_buffer", self.request_buffer >= 1, ">= 1")
+
     @property
     def banks_total(self) -> int:
         return self.channels * self.ranks * self.bankgroups * self.banks_per_group
@@ -263,6 +282,10 @@ class DX100Config:
     stream_issue_rate: int = 2        # stream-unit line requests per cycle
     tlb_miss_penalty: int = 100
 
+    def __post_init__(self) -> None:
+        for name in ("tile_elems", "fill_rate", "drain_rate"):
+            _require(self, name, getattr(self, name) >= 1, ">= 1")
+
     @property
     def spd_bytes(self) -> int:
         return self.tile_elems * self.num_tiles * 4
@@ -308,6 +331,10 @@ class SystemConfig:
     #: against).  Mirrors ``DRAMConfig.engine``; both front-ends produce
     #: bitwise-identical metrics and DRAM command streams.
     frontend: str = "batched"
+
+    def __post_init__(self) -> None:
+        _require(self, "frontend", self.frontend in ENGINES,
+                 f"one of {', '.join(ENGINES)}")
 
     @staticmethod
     def baseline(cores: int = 4) -> "SystemConfig":

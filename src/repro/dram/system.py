@@ -36,10 +36,8 @@ class DRAMSystem:
                  audit: bool | None = None) -> None:
         self.config = config or DRAMConfig()
         self.mapper = mapper or AddressMapper(self.config)
-        engine = self.config.engine
-        if engine not in ("batched", "scalar"):
-            raise ValueError(f"unknown DRAM engine {engine!r}")
-        if engine == "batched" and self.config.scheduler in ("frfcfs", "fcfs"):
+        if (self.config.engine == "batched"
+                and self.config.scheduler in ("frfcfs", "fcfs")):
             controller_cls = BatchedController
         else:
             controller_cls = MemoryController

@@ -102,7 +102,6 @@ class ServeReport:
     def golden_snapshot(self) -> dict:
         """JSON-stable digest for the tenancy golden file (exact compare)."""
         return {
-            "engine": self.engine,
             "total_cycles": int(self.total_cycles),
             "jain": round(self.jain, 6),
             "starvations": int(self.starvations),
@@ -389,14 +388,14 @@ def serve_run(specs: list[TenantSpec],
 
 # ------------------------------------------------------- canonical scenarios
 
-def tenancy_scenarios(engine: str = "batched") -> dict[str, ServeReport]:
-    """The golden-pinned tenant-count x interference grid.
+def tenancy_scenarios(config: DRAMConfig | None = None
+                      ) -> dict[str, ServeReport]:
+    """The golden-pinned tenant-count x interference grid over ``config``.
 
-    Shared by ``python -m repro serve --check-golden`` and the tenancy
-    sweep benchmark, so the pinned numbers always describe the same runs.
+    Shared by the ``tenancy`` golden suite (:mod:`repro.sim.golden`) and
+    the tenancy sweep benchmark, so the pinned numbers always describe the
+    same runs.
     """
-    from dataclasses import replace
-    config = replace(DRAMConfig(), engine=engine)
     out: dict[str, ServeReport] = {}
     out["t1"] = serve_run(
         make_tenants(1, tiles=4, tile_lines=96), config=config)

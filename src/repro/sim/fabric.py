@@ -113,7 +113,6 @@ class ServeParams:
     seed: int = 0
     aggressor: int = -1
     dram: str = "ddr4"
-    engine: str = "batched"
     borrow: bool = True
 
 
@@ -546,13 +545,10 @@ def execute_campaign_task(task: CampaignTask, gen: GenerateCache,
                 "result": result_to_dict(result)}
     if task.kind == "serve":
         assert task.serve is not None
-        from dataclasses import replace as _replace
-
         from repro.common.config import dram_preset
         from repro.serve import make_tenants, serve_run
         p = task.serve
         config = dram_preset(p.dram)
-        config = _replace(config, engine=p.engine)
         t0 = perf_counter()
         specs = make_tenants(p.tenants, tiles=p.tiles,
                              tile_lines=p.tile_lines, seed=p.seed,

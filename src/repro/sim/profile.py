@@ -210,39 +210,28 @@ def summarize_profile(stats: pstats.Stats, top: int = 25,
 
 
 def profile_run(benchmark: str = "IS", mode: str = "baseline",
-                quick: bool = True, top: int = 25,
-                frontend: str | None = None) -> dict:
+                quick: bool = True, top: int = 25) -> dict:
     """Profile one (benchmark, mode) run; returns the structured report.
 
     The run itself is a plain :func:`repro.sim.runner.run_baseline` /
     ``run_dx100`` call — same configs the sweep uses — executed under
     cProfile with a :class:`StageTimers` threaded through, so the report's
-    numbers describe exactly the code the sweep exercises.  ``frontend``
-    overrides :attr:`SystemConfig.frontend` (profile the scalar oracle
-    against the batched engine on identical work).
+    numbers describe exactly the code the sweep exercises.
     """
     # Imported here so that `import repro.sim.profile` stays dependency-free
     # for the runner (which imports NULL_TIMERS from this module).
-    from dataclasses import replace
-
-    from repro.common.config import SystemConfig
     from repro.sim.runner import run_baseline, run_dx100
+    from repro.sim.sweep import CONFIG_BUILDERS
     from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
 
     registry = QUICK_BENCHMARKS if quick else MAIN_BENCHMARKS
     if benchmark not in registry:
         raise KeyError(f"unknown benchmark {benchmark!r}")
-    builders = {
-        "baseline": SystemConfig.baseline_scaled,
-        "dmp": SystemConfig.dmp_scaled,
-        "dx100": SystemConfig.dx100_scaled,
-    }
-    if mode not in builders:
-        raise ValueError(f"unknown mode {mode!r} (want {sorted(builders)})")
+    if mode not in CONFIG_BUILDERS:
+        raise ValueError(
+            f"unknown mode {mode!r} (want {sorted(CONFIG_BUILDERS)})")
     workload = registry[benchmark]()
-    config = builders[mode](4)
-    if frontend is not None:
-        config = replace(config, frontend=frontend)
+    config = CONFIG_BUILDERS[mode](4)
 
     timers = StageTimers()
     profiler = cProfile.Profile()
@@ -262,7 +251,7 @@ def profile_run(benchmark: str = "IS", mode: str = "baseline",
         "benchmark": benchmark,
         "mode": mode,
         "quick": quick,
-        "frontend": frontend or config.frontend,
+        "frontend": config.frontend,
         "wall_s": round(wall, 6),
         "stages_s": timers.as_dict(),
         "components_s": components,

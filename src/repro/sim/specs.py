@@ -28,17 +28,20 @@ dram         DRAM_PRESETS registry: ddr4, ddr5, cxl              ddr4
 tile         DX100 tile elements (dx100 tasks only)              config
 cores        core counts                                         4
 scale        quick, main                                         main
-engine       batched, scalar (DRAM engine override)              config
-frontend     batched, scalar (simulation front-end override)     config
 sample       timeline sampling period in cycles                  0 (off)
 tenants      serving-layer tenant counts (opens the serve axis)  --
 aggressor    tenant index flooding the serve runs (-1 = none)    -1
 ===========  ==================================================  =========
 
-``tenants`` adds *serve tasks* to the campaign — multi-tenant QoS runs
+``tenants`` opens the serve axis: *serve tasks*, multi-tenant QoS runs
 (:func:`repro.serve.serve_run`) expanded over ``tenants x dram x
-aggressor``.  The benchmark/tile axes do not apply to synthetic tenant
-streams, so a combined spec produces both grids side by side.
+aggressor``.  ``dram`` is shared by both grids; ``benchmarks``,
+``modes``, ``tile``, ``cores``, ``scale`` and ``sample`` are sweep-only.
+A spec that opens the serve axis builds the sweep grid only when it also
+names a sweep-only dimension, so ``tenants=2`` is one serve task while
+``tenants=2 scale=quick`` is that task beside the quick sweep grid.  A
+spec without ``tenants`` always builds the sweep grid (``""`` is the full
+default grid).
 
 This module also owns the :class:`~repro.common.config.SystemConfig`
 dict round-trip the on-disk campaign manifest needs: ``asdict`` flattens
@@ -68,8 +71,11 @@ _SUFFIXES = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}
 #: Dimension keys the grammar accepts (aliases normalized first).
 DIMENSIONS = (
     "benchmarks", "modes", "dram", "tile", "cores", "scale",
-    "engine", "frontend", "sample", "tenants", "aggressor",
+    "sample", "tenants", "aggressor",
 )
+
+#: Dimensions only the sweep grid reads (``dram`` is shared with serve).
+SWEEP_ONLY = ("benchmarks", "modes", "tile", "cores", "scale", "sample")
 
 _ALIASES = {
     "benchmark": "benchmarks",
@@ -87,8 +93,6 @@ _CHOICES = {
     # the grammar can never lag the config layer.
     "dram": set(DRAM_PRESETS),
     "scale": {"quick", "main"},
-    "engine": {"batched", "scalar"},
-    "frontend": {"batched", "scalar"},
 }
 
 _INT_DIMS = {"tile", "cores", "sample", "tenants", "aggressor"}
@@ -195,15 +199,14 @@ def _match_benchmarks(patterns: list[int | str]) -> list[str]:
 
 # ---------------------------------------------------------------- expansion
 
-def _dram_preset(name: str) -> DRAMConfig:
-    return dram_preset(str(name))
-
-
 def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
     """The spec's (workload, config, mode) grid as deduplicated
     :class:`~repro.sim.sweep.SweepTask` items, grouped by benchmark so a
     worker claiming in order runs every mode of one dataset back to back
-    (the fabric's generate-reuse window)."""
+    (the fabric's generate-reuse window).  A spec that opens the serve
+    axis and names no sweep-only dimension has no sweep grid."""
+    if "tenants" in spec and not any(key in spec for key in SWEEP_ONLY):
+        return []
     benchmarks = _match_benchmarks(spec.get("benchmarks", ["*"]))
     modes = [str(m) for m in spec.get("modes", list(MODES))]
     drams = [str(d) for d in spec.get("dram", ["ddr4"])]
@@ -211,8 +214,6 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
         else [None]   # type: ignore[list-item]
     cores = [int(c) for c in spec.get("cores", [4])]
     scales = [str(s) for s in spec.get("scale", ["main"])]
-    engine = spec.get("engine", [None])[0]
-    frontend = spec.get("frontend", [None])[0]
     sample = int(spec.get("sample", [0])[0])  # type: ignore[arg-type]
 
     tasks: list[SweepTask] = []
@@ -223,19 +224,12 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
                 for dram in drams:
                     for tile in tiles:
                         for n_cores in cores:
-                            config = CONFIG_BUILDERS[mode](n_cores)
-                            dram_cfg = _dram_preset(dram)
-                            if engine is not None:
-                                dram_cfg = replace(dram_cfg,
-                                                   engine=str(engine))
-                            config = replace(config, dram=dram_cfg)
+                            config = replace(CONFIG_BUILDERS[mode](n_cores),
+                                             dram=dram_preset(dram))
                             if tile is not None and config.dx100 is not None:
                                 config = replace(
                                     config,
                                     dx100=config.dx100.with_tile(int(tile)))
-                            if frontend is not None:
-                                config = replace(config,
-                                                 frontend=str(frontend))
                             task = SweepTask(
                                 benchmark=name, mode=mode,
                                 quick=(scale == "quick"), config=config,
@@ -254,7 +248,6 @@ def expand_serve_params(spec: dict[str, list[int | str]]) -> list[dict]:
         return []
     drams = [str(d) for d in spec.get("dram", ["ddr4"])]
     aggressors = [int(a) for a in spec.get("aggressor", [-1])]
-    engine = str(spec.get("engine", ["batched"])[0] or "batched")
     params = []
     for tenants in spec["tenants"]:
         if int(tenants) < 1:
@@ -266,7 +259,7 @@ def expand_serve_params(spec: dict[str, list[int | str]]) -> list[dict]:
                         f"aggressor index {aggressor} out of range for "
                         f"{tenants} tenant(s)")
                 params.append({"tenants": int(tenants), "dram": dram,
-                               "aggressor": aggressor, "engine": engine})
+                               "aggressor": aggressor})
     return params
 
 

@@ -24,8 +24,9 @@ Entry points:
 * :func:`main_sweep_tasks` / :func:`run_main_sweep` — the Figure 9-12
   benchmark x configuration grid (``benchmarks/mainsweep.py`` delegates
   here, and ``python -m repro sweep`` exposes it on the command line);
-* :func:`golden_snapshot` / :func:`diff_golden` — the golden-metrics
-  regression harness (``tests/golden/quick_suite.json``).
+* :func:`golden_snapshot` / :func:`diff_golden` — the quick suite's
+  pinned fields (``tests/golden/quick_suite.json``, checked by the
+  ``quick`` suite of :mod:`repro.sim.golden`).
 """
 
 from __future__ import annotations
@@ -508,21 +509,12 @@ def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
                      modes: tuple[str, ...] = MODES, cores: int = 4,
                      audit: bool = False,
                      sample_every: int = 0,
-                     engine: str | None = None,
-                     frontend: str | None = None,
                      dram: str | None = None) -> list[SweepTask]:
     """The Figure 9-12 grid: every benchmark under every configuration.
 
-    ``engine`` overrides :attr:`DRAMConfig.engine` for every task
-    (``"scalar"`` runs the whole grid on the per-request oracle — the CI
-    differential check that the goldens hold on both engines).  It is part
-    of each task's cache key, so oracle runs never alias batched ones.
-    ``frontend`` does the same for :attr:`SystemConfig.frontend`
-    (``"scalar"`` replays the grid on the per-op cache/core oracle — the
-    front-end half of the differential check).  ``dram`` swaps the whole
-    memory technology via :data:`repro.common.config.DRAM_PRESETS`
-    (``"cxl"`` puts the pool behind the modeled far-memory link); it is
-    applied *before* the audit/engine overrides so those compose on top.
+    ``dram`` swaps the whole memory technology via
+    :data:`repro.common.config.DRAM_PRESETS` (``"cxl"`` puts the pool
+    behind the modeled far-memory link); ``audit`` composes on top.
     """
     from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
     registry = QUICK_BENCHMARKS if quick else MAIN_BENCHMARKS
@@ -540,11 +532,6 @@ def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
             if audit:
                 config = replace(config,
                                  dram=replace(config.dram, audit=True))
-            if engine is not None:
-                config = replace(config,
-                                 dram=replace(config.dram, engine=engine))
-            if frontend is not None:
-                config = replace(config, frontend=frontend)
             tasks.append(SweepTask(benchmark=name, mode=mode, quick=quick,
                                    config=config,
                                    sample_every=sample_every))
@@ -558,15 +545,12 @@ def run_main_sweep(quick: bool = False,
                    cache_dir: str | Path | None = None,
                    results_dir: str | Path | None = None,
                    sample_every: int = 0,
-                   engine: str | None = None,
-                   frontend: str | None = None,
                    dram: str | None = None,
                    affinity: bool = False) -> SweepOutcome:
     """Run the main-evaluation grid and emit the structured JSON records
     (``results/sweep.json`` + ``BENCH_mainsweep.json``)."""
     tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks, modes=modes,
-                             sample_every=sample_every, engine=engine,
-                             frontend=frontend, dram=dram)
+                             sample_every=sample_every, dram=dram)
     outcome = run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir,
                         affinity=affinity)
     outcome.extras["quick"] = quick
@@ -602,7 +586,7 @@ def write_sweep_records(outcome: SweepOutcome,
                                      sort_keys=True) + "\n")
 
 
-# ---------------------------------------------------- golden-metrics harness
+# ------------------------------------------------------ quick-suite goldens
 
 def golden_snapshot(outcome: SweepOutcome) -> dict:
     """``benchmark -> mode -> {field: value}`` for the pinned fields."""
@@ -624,7 +608,7 @@ def diff_golden(snapshot: dict, golden: dict) -> list[str]:
             continue
         if name not in golden:
             problems.append(f"{name}: not in the golden file "
-                            f"(run --update-golden)")
+                            f"(run `python -m repro golden update quick`)")
             continue
         for mode in sorted(set(golden[name]) | set(snapshot[name])):
             got = snapshot[name].get(mode)
@@ -638,24 +622,6 @@ def diff_golden(snapshot: dict, golden: dict) -> list[str]:
                         f"{name}/{mode}.{fld}: got {got.get(fld)!r}, "
                         f"golden {want.get(fld)!r}")
     return problems
-
-
-def write_golden(outcome: SweepOutcome,
-                 path: str | Path | None = None) -> Path:
-    """Rewrite the golden-metrics file from a finished quick-suite sweep
-    (the documented ``--update-golden`` path for intentional changes)."""
-    path = Path(path or GOLDEN_PATH)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "_comment": "Golden RunResult metrics for the REPRO_QUICK suite "
-                    "under baseline/dmp/dx100.  Regenerate with "
-                    "`python -m repro sweep --update-golden` after an "
-                    "intentional model change.",
-        "fields": list(GOLDEN_FIELDS),
-        "metrics": golden_snapshot(outcome),
-    }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 def load_golden(path: str | Path | None = None) -> dict:

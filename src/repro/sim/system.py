@@ -20,9 +20,6 @@ class SimSystem:
                  mem_bytes: int = 1 << 26,
                  audit: bool | None = None,
                  obs=None) -> None:
-        if config.frontend not in ("batched", "scalar"):
-            raise ValueError(f"unknown frontend {config.frontend!r} "
-                             "(expected 'batched' or 'scalar')")
         batched = config.frontend == "batched"
         self.config = config
         self.dram = DRAMSystem(config.dram, audit=audit)

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.common import CacheConfig, DDR4Timing, DRAMConfig, SystemConfig, ns_to_cycles
+from repro.common import (CacheConfig, DDR4Timing, DRAMConfig, DX100Config,
+                          SystemConfig, ns_to_cycles)
 
 
 def test_timing_matches_table3():
@@ -64,3 +65,22 @@ def test_dmp_preset():
     cfg = SystemConfig.dmp_system()
     assert cfg.dmp and cfg.dx100 is None
     assert cfg.llc.size_bytes == 10 * 1024 * 1024
+
+
+@pytest.mark.parametrize("build,field,valid", [
+    (lambda: DRAMConfig(page_policy="bogus"), "page_policy", "open, closed"),
+    (lambda: DRAMConfig(request_buffer=0), "request_buffer", ">= 1"),
+    (lambda: DRAMConfig(engine="vectorized"), "engine", "batched, scalar"),
+    (lambda: DX100Config(tile_elems=0), "tile_elems", ">= 1"),
+    (lambda: DX100Config(fill_rate=0), "fill_rate", ">= 1"),
+    (lambda: DX100Config(drain_rate=0), "drain_rate", ">= 1"),
+    (lambda: SystemConfig(frontend="vectorized"), "frontend",
+     "batched, scalar"),
+], ids=["page_policy", "request_buffer", "engine", "tile_elems",
+        "fill_rate", "drain_rate", "frontend"])
+def test_out_of_domain_config_is_rejected_at_construction(build, field,
+                                                          valid):
+    """A config that could not run never constructs, and the error names
+    the field and its valid values."""
+    with pytest.raises(ValueError, match=f"{field} must be .*{valid}"):
+        build()

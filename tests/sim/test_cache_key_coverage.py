@@ -24,14 +24,23 @@ import json
 import pytest
 
 from repro.common.config import (
-    DDR4Timing, DRAMConfig, RemoteLinkConfig, SystemConfig,
+    ENGINES, PAGE_POLICIES, DDR4Timing, DRAMConfig, RemoteLinkConfig,
+    SystemConfig,
 )
 from repro.sim.specs import system_config_from_dict, system_config_to_dict
 from repro.sim.sweep import RunCache, SweepTask, execute_task
 
 
-def _mutate(value):
-    """A same-typed, different value for one leaf field."""
+#: Fields the config validates against a closed set of values: a mutation
+#: must stay inside it, or the config would not construct.
+DOMAINS = {"page_policy": PAGE_POLICIES, "engine": ENGINES,
+           "frontend": ENGINES}
+
+
+def _mutate(name, value):
+    """A same-typed, different, still-valid value for one leaf field."""
+    if name in DOMAINS:
+        return next(v for v in DOMAINS[name] if v != value)
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -62,7 +71,7 @@ def _with_mutation(obj, path):
     """Rebuild a frozen config tree with the leaf at ``path`` mutated."""
     name, rest = path[0], path[1:]
     value = getattr(obj, name)
-    new = _with_mutation(value, rest) if rest else _mutate(value)
+    new = _with_mutation(value, rest) if rest else _mutate(name, value)
     return dataclasses.replace(obj, **{name: new})
 
 

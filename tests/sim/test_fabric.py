@@ -357,6 +357,7 @@ def test_merge_bench_record_preserves_sweep_fields(tmp_path):
 
 def test_serve_tasks_execute_through_the_fabric(tmp_path):
     tasks = build_tasks("tenants=2")
+    assert all(t.kind == "serve" for t in tasks)
     path = create_campaign(tasks, "s", root=tmp_path / "camps", cache=False)
     worker_loop(path, worker="w0", cache=False)
     record = _done(path)["serve.t2.ddr4"]

@@ -1,77 +1,12 @@
-"""Golden-metrics regression harness (tier-1).
+"""Golden-value tests beyond the harness (tier-1).
 
-Re-runs the REPRO_QUICK suite under all three configurations through the
-sweep executor — with the run cache disabled, so the model actually
-executes — and diffs every pinned ``RunResult`` field *exactly* against
-``tests/golden/quick_suite.json``.
-
-Any mismatch means a change altered the reproduced numbers.  If that is
-intentional (a model fix, a calibration change), regenerate the golden
-file with ``python -m repro sweep --update-golden`` and commit it with the
-change; EXPERIMENTS.md documents the workflow.
+The golden files themselves are re-run and diffed by
+``tests/sim/test_golden.py`` (one parametrized test per suite of
+:mod:`repro.sim.golden`).  These tests pin properties *around* them: the
+tenant-tagged paths must reproduce the untagged numbers exactly.
 """
 
-import json
-
-from repro.sim.sweep import (
-    GOLDEN_FIELDS, GOLDEN_PATH, diff_golden, golden_snapshot, load_golden,
-    main_sweep_tasks, run_sweep,
-)
-
-
-def test_golden_file_is_committed_and_well_formed():
-    assert GOLDEN_PATH.exists(), (
-        f"missing {GOLDEN_PATH}; run `python -m repro sweep --update-golden`")
-    payload = json.loads(GOLDEN_PATH.read_text())
-    assert payload["fields"] == list(GOLDEN_FIELDS)
-    metrics = payload["metrics"]
-    assert len(metrics) == 12, sorted(metrics)
-    for name, runs in metrics.items():
-        assert set(runs) == {"baseline", "dmp", "dx100"}, name
-        for mode, fields in runs.items():
-            assert set(fields) == set(GOLDEN_FIELDS), (name, mode)
-
-
-def test_quick_suite_matches_golden_metrics_exactly():
-    golden = load_golden()
-    outcome = run_sweep(main_sweep_tasks(quick=True), cache=False)
-    problems = diff_golden(golden_snapshot(outcome), golden)
-    assert not problems, (
-        "reproduced metrics drifted from tests/golden/quick_suite.json "
-        "(intentional? `python -m repro sweep --update-golden`):\n  "
-        + "\n  ".join(problems))
-
-
-# ------------------------------------------------------------ tenancy golden
-
-def test_tenancy_golden_file_is_committed_and_well_formed():
-    from repro.serve.golden import TENANCY_GOLDEN_PATH, load_tenancy_golden
-    assert TENANCY_GOLDEN_PATH.exists(), (
-        f"missing {TENANCY_GOLDEN_PATH}; run "
-        f"`python -m repro serve --update-golden`")
-    scenarios = load_tenancy_golden()
-    assert {"t1", "t2", "t2_aggressor", "t4"} <= set(scenarios)
-    for name, entry in scenarios.items():
-        assert entry["engine"] == "batched", name
-        assert entry["total_cycles"] > 0, name
-        assert 0.0 < entry["jain"] <= 1.0, name
-        for tenant, rec in entry["tenants"].items():
-            assert rec["p50"] <= rec["p99"], (name, tenant)
-            assert rec["dram_serviced"] == rec["lines"], (name, tenant)
-
-
-def test_tenancy_scenarios_match_golden_exactly():
-    from repro.serve import tenancy_scenarios
-    from repro.serve.golden import (
-        diff_tenancy_golden, load_tenancy_golden, tenancy_snapshot,
-    )
-    golden = load_tenancy_golden()
-    problems = diff_tenancy_golden(tenancy_snapshot(tenancy_scenarios()),
-                                   golden)
-    assert not problems, (
-        "tenancy QoS metrics drifted from tests/golden/tenancy_quick.json "
-        "(intentional? `python -m repro serve --update-golden`):\n  "
-        + "\n  ".join(problems))
+from repro.sim.sweep import GOLDEN_FIELDS, load_golden
 
 
 def test_single_tenant_serve_degenerates_to_untagged_run():

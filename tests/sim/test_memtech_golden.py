@@ -1,57 +1,18 @@
-"""Memory-technology golden harness (tier-1).
+"""The far-memory thesis, read from the committed memory-technology golden.
 
-Re-runs the local/ddr5/cxl/mixed scenario grid (quick IS, baseline +
-DX100) and diffs every pinned field exactly against
-``tests/golden/memory_technology.json`` — the far-memory analogue of the
-quick-suite goldens.  Regenerate after an intentional model change with
-``python -m repro.sim.memtech --update-golden``.
+``tests/sim/test_golden.py`` re-runs the grid and diffs it against
+``tests/golden/memory_technology.json``; this test checks that the pinned
+numbers themselves encode the paper-level claim.
 """
 
-import json
-
-from repro.sim.memtech import (
-    MEMTECH_FIELDS, MEMTECH_GOLDEN_PATH, MEMTECH_SCENARIOS,
-    diff_memtech_golden, load_memtech_golden, run_memtech,
-)
-
-
-def test_memtech_golden_file_is_committed_and_well_formed():
-    assert MEMTECH_GOLDEN_PATH.exists(), (
-        f"missing {MEMTECH_GOLDEN_PATH}; run "
-        f"`python -m repro.sim.memtech --update-golden`")
-    payload = json.loads(MEMTECH_GOLDEN_PATH.read_text())
-    assert payload["fields"] == list(MEMTECH_FIELDS)
-    metrics = payload["metrics"]
-    assert set(metrics) == set(MEMTECH_SCENARIOS)
-    for scenario, runs in metrics.items():
-        assert set(runs) == {"baseline", "dx100"}, scenario
-        for mode, fields in runs.items():
-            assert set(fields) == set(MEMTECH_FIELDS), (scenario, mode)
-    # The far-tier rows really went through the link; the local rows
-    # really did not.
-    for scenario in ("cxl", "mixed"):
-        for mode in ("baseline", "dx100"):
-            assert metrics[scenario][mode]["far_serviced"] > 0, scenario
-    for scenario in ("local", "ddr5"):
-        for mode in ("baseline", "dx100"):
-            assert metrics[scenario][mode]["far_serviced"] == 0, scenario
-
-
-def test_memtech_grid_matches_golden_exactly():
-    golden = load_memtech_golden()
-    problems = diff_memtech_golden(run_memtech(), golden)
-    assert not problems, (
-        "memory-technology metrics drifted from "
-        "tests/golden/memory_technology.json (intentional? "
-        "`python -m repro.sim.memtech --update-golden`):\n  "
-        + "\n  ".join(problems))
+from repro.sim.golden import SUITES, load
 
 
 def test_golden_pins_the_far_memory_thesis():
     """The committed numbers themselves encode the headline claim: the
     link hurts the baseline far more than DX100, so the speedup grows
     from local DDR4 to all-far CXL."""
-    golden = load_memtech_golden()
+    golden = load(SUITES["memtech"])["metrics"]
 
     def speedup(scenario):
         return (golden[scenario]["baseline"]["cycles"]

@@ -85,6 +85,23 @@ def test_empty_spec_is_the_full_default_grid():
     assert all(not t.quick for t in tasks)
 
 
+def test_serve_only_spec_builds_no_sweep_grid():
+    """``tenants`` alone (plus the shared ``dram``) is serve-only; a
+    sweep-only dimension brings the sweep grid back, and a spec without
+    ``tenants`` always has one."""
+    assert expand_sweep_tasks(parse_spec("tenants=2 dram=ddr4,ddr5")) == []
+    both = expand_sweep_tasks(parse_spec("tenants=2 benchmarks=IS "
+                                         "scale=quick"))
+    assert {t.benchmark for t in both} == {"IS"}
+    assert len(expand_sweep_tasks(parse_spec("dram=ddr5"))) == 12 * len(MODES)
+
+
+def test_engine_and_frontend_are_not_spec_dimensions():
+    for clause in ("engine=scalar", "frontend=scalar"):
+        with pytest.raises(SpecError, match="unknown dimension"):
+            parse_spec(clause)
+
+
 def test_tile_axis_only_replicates_dx100_tasks():
     """baseline/dmp have no DX100 config, so the tile axis collapses for
     them instead of producing duplicate cache keys."""
