@@ -109,9 +109,11 @@ class AddressMapper:
         """Vectorized :meth:`map` for NumPy address arrays.
 
         Returns a dict of field-name -> array, plus ``"flat_bank"`` (a single
-        integer key combining channel/rank/bankgroup/bank, in ascending
-        interleave priority) and ``"line"`` (line-aligned addresses).  Used
-        by the DX100 indirect unit to decode a whole tile at once.
+        integer key combining the bank fields, ordered (rank, bankgroup,
+        bank, channel) from most to least significant — *not* the DX100
+        Row Table's (rank, bank, bankgroup, channel) drain order) and
+        ``"line"`` (line-aligned addresses).  Used by the DX100 indirect
+        unit to decode a whole tile at once.
         """
         import numpy as np
 

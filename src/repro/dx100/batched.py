@@ -7,17 +7,18 @@ The accelerator half of the ``SystemConfig.frontend = "batched"`` split:
   one fused function for the whole tile instead of two calls per line.
 
 * :class:`BatchedIndirectUnit` keeps the fill -> request -> response
-  pipeline of the scalar unit but feeds the Row Table through
-  :meth:`RowTable.insert_decoded` with coordinate tuples pre-zipped from
-  one ``map_arrays`` decode, and drops the Word Table entirely: the only
-  thing the scalar response stage reads from the linked list is the chain
-  *length*, which the Row Table already carries as ``PendingLine.words``
-  (every insert bumps the column record, every drain snapshots it), so the
-  two numpy scalar writes per element vanish with no observable change.
+  pipeline of the scalar unit but plans the whole tile's Row Table fill in
+  one vectorized pass (:func:`repro.dx100.row_table.plan_fill`) instead of
+  one insert per element: the plan gives each segment between capacity
+  drains as arrays of unique lines in drain order, their coordinates and
+  word counts.  The request and response stages walk those arrays.  The
+  Word Table is dropped entirely: the only thing the scalar response stage
+  reads from its linked list is the chain *length*, which the plan carries
+  as the segment's word count.
 
-Both units share the scalar classes' drain/request stage and functional
-(numpy) execution; the differential suite runs the same tiles through both
-front-ends and asserts identical timings, stats, and DRAM streams.
+Both units share the scalar classes' request stage and functional (numpy)
+execution; the differential suites run the same tiles through both
+front-ends and assert identical timings, stats, and DRAM streams.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.common.types import AluOp, DType
 from repro.dx100.alu import RMW_UFUNCS
 from repro.dx100.indirect_unit import (RESPONSE_LATENCY, IndirectResult,
                                        IndirectUnit)
-from repro.dx100.row_table import RowTable
+from repro.dx100.row_table import plan_fill
 from repro.dx100.stream_unit import StreamUnit
 
 
@@ -76,70 +77,63 @@ class BatchedIndirectUnit(IndirectUnit):
         addrs = base + sel_idx * dtype.nbytes
 
         t = t_start + (self.tlb.translate_tile(addrs) if addrs.size else 0)
-        fields = self.mapper.map_arrays(addrs) if addrs.size else None
-
-        row_table = RowTable(self.config.row_table_rows,
+        segments = plan_fill(self.mapper.map_arrays(addrs),
+                             self.config.row_table_rows,
                              self.config.row_table_cols)
-        drains = 0
-        pending_reqs: list = []
+        drain_times = [t]
+        if segments:
+            # A capacity drain happens once its cut element has been
+            # decoded (the insert it refuses), the final one after the
+            # last element.
+            drain_times = self._fill_cursor(
+                t, [seg.end for seg in segments[:-1]] + [int(iters.size) - 1],
+                index_avail)
 
-        fill_rate = self.config.fill_rate
-        avail_t0, avail_rate = index_avail if index_avail else (t, float("inf"))
-        fill_cursor = float(t)
-
-        if fields is not None:
-            # One decode, the per-element loop then touches Python lists
-            # only: bank keys pre-zipped for insert_decoded, rows/lines as
-            # flat ints.
-            keys = list(zip(fields["channel"].tolist(),
-                            fields["rank"].tolist(),
-                            fields["bankgroup"].tolist(),
-                            fields["bank"].tolist()))
-            rows = fields["row"].tolist()
-            lines = fields["line"].tolist()
-            it_list = iters.tolist()
-            snoop = self.hierarchy.snoop
-            insert = row_table.insert_decoded
-            for e in range(len(it_list)):
-                fill_cursor = max(fill_cursor + 1.0 / fill_rate,
-                                  avail_t0 + e / avail_rate)
-                accepted, _prev = insert(keys[e], rows[e], lines[e],
-                                         it_list[e], snoop)
-                if not accepted:
-                    # Capacity drain, then retry (must succeed on empty table).
-                    pending_reqs += self._drain(row_table, int(fill_cursor),
-                                                kind, tile)
-                    drains += 1
-                    accepted, _prev = insert(keys[e], rows[e], lines[e],
-                                             it_list[e], snoop)
-                    if not accepted:
-                        raise RuntimeError("insert failed on empty Row Table")
-
-        pending_reqs += self._drain(row_table, int(fill_cursor), kind, tile)
-        drains += 1
+        # Request stage: each segment's H bits are snooped just before its
+        # requests issue, after the previous segment's drain.
+        lines: list[int] = []
+        decoded: list[tuple] = []
+        h_bits: list[bool] = []
+        accesses: list = []
+        served = 0
+        for seg, t_drain in zip(segments, drain_times):
+            seg_lines = seg.lines.tolist()
+            seg_decoded = list(zip(*seg.coords.T.tolist()))
+            seg_h = list(map(self.hierarchy.snoop, seg_lines))
+            accesses += self._issue(seg_lines, seg_decoded, seg_h, seg.units,
+                                    t_drain, kind, tile)
+            lines += seg_lines
+            decoded += seg_decoded
+            h_bits += seg_h
+            served += int(seg.words.sum())
+        drains = max(1, len(segments))
+        fill_cursor = drain_times[-1]
         if self.obs is not None:
-            self.obs.tile_phase(tile, "fill", t_start, int(fill_cursor),
+            self.obs.tile_phase(tile, "fill", t_start, fill_cursor,
                                 lines=int(iters.size))
 
         # ------------------------------------------------------- response
-        finish = int(fill_cursor)
-        served = 0
+        finish = fill_cursor
         wb_lo = wb_hi = -1
         wb_lines = 0
-        for pline, access in pending_reqs:
-            completion = access.resolve(self.dram)
-            served += pline.words
-            if kind in ("st", "rmw") and not pline.h_bit:
-                wr = self.dram.access(pline.line_addr, is_write=True,
-                                      arrival=completion + 1,
-                                      decoded=pline.coord + (pline.row,),
-                                      tenant=self.tenant)
-                wb_lines += 1
-                if wb_lo < 0 or wr.arrival < wb_lo:
-                    wb_lo = wr.arrival
-                if wr.arrival > wb_hi:
-                    wb_hi = wr.arrival
-                completion = max(completion, wr.arrival)
+        writes = kind in ("st", "rmw")
+        dram = self.dram
+        for j, access in enumerate(accesses):
+            # H-bit lines hold an LLC AccessResult, the rest a DRAM request.
+            if h_bits[j]:
+                completion = access.resolve(dram)
+            else:
+                completion = dram.complete(access)
+                if writes:
+                    wr = dram.access(lines[j], is_write=True,
+                                     arrival=completion + 1,
+                                     decoded=decoded[j], tenant=self.tenant)
+                    wb_lines += 1
+                    if wb_lo < 0 or wr.arrival < wb_lo:
+                        wb_lo = wr.arrival
+                    if wr.arrival > wb_hi:
+                        wb_hi = wr.arrival
+                    completion = max(completion, wr.arrival)
             finish = max(finish, completion)
         if iters.size and served != iters.size:
             raise RuntimeError(
@@ -147,8 +141,8 @@ class BatchedIndirectUnit(IndirectUnit):
             )
         finish += RESPONSE_LATENCY
         if self.obs is not None:
-            self.obs.tile_phase(tile, "response", int(fill_cursor), finish,
-                                lines=len(pending_reqs))
+            self.obs.tile_phase(tile, "response", fill_cursor, finish,
+                                lines=len(accesses))
             if wb_lines:
                 self.obs.tile_phase(tile, "writeback", wb_lo, wb_hi,
                                     lines=wb_lines)
@@ -168,11 +162,42 @@ class BatchedIndirectUnit(IndirectUnit):
                 src = np.asarray(src_values)[iters]
                 self.hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
 
-        unique = row_table.unique_lines
+        unique = len(lines)
         self.stats.add(f"i{kind}_elements", iters.size)
         self.stats.add(f"i{kind}_lines", unique)
         self.stats.add("indirect_drains", drains)
         return IndirectResult(values=values, finish=finish,
                               elements=int(iters.size), unique_lines=unique,
                               drains=drains, start=t,
-                              busy_until=int(fill_cursor))
+                              busy_until=fill_cursor)
+
+    def _fill_cursor(self, t: int, marks: list[int],
+                     index_avail: tuple[int, float] | None) -> list[int]:
+        """Fill-stage cycle (truncated) right after each element in
+        ``marks`` (ascending) is inserted.
+
+        Element ``e`` is inserted at ``max(cursor + 1 / fill_rate,
+        t0 + e / rate)``; without ``index_avail`` the second term never
+        binds, and the sequential ``np.add.accumulate`` reproduces the
+        element-by-element float sums bitwise.
+        """
+        step = 1.0 / self.config.fill_rate
+        if index_avail is None:
+            incs = np.full(marks[-1] + 2, step)
+            incs[0] = float(t)
+            cursor = np.add.accumulate(incs)
+            return [int(c) for c in cursor[np.asarray(marks) + 1].tolist()]
+        avail_t0, avail_rate = index_avail
+        out = []
+        cursor = float(t)
+        first = 0
+        for mark in marks:
+            for e in range(first, mark + 1):
+                # max(cursor + step, avail) without the call.
+                cursor += step
+                avail = avail_t0 + e / avail_rate
+                if avail > cursor:
+                    cursor = avail
+            first = mark + 1
+            out.append(int(cursor))
+        return out

@@ -169,7 +169,8 @@ class IndirectUnit:
         wb_lo = wb_hi = -1
         wb_lines = 0
         for pline, access in pending_reqs:
-            completion = access.resolve(self.dram)
+            completion = (access.resolve(self.dram) if pline.h_bit
+                          else self.dram.complete(access))
             chain = word_table.traverse(pline.tail_i)
             served += len(chain)
             if kind in ("st", "rmw") and not pline.h_bit:
@@ -226,52 +227,51 @@ class IndirectUnit:
     def _drain(self, row_table: RowTable, t: int, kind: str,
                tile: int = -1) -> list[tuple[PendingLine, object]]:
         """Request stage: issue drained lines in interleaved order."""
-        obs = self.obs
-        occupancy = row_table.occupancy if obs is not None else 0
+        occupancy = row_table.occupancy if self.obs is not None else 0
+        plines = row_table.drain()
+        # The tile was decoded wholesale by map_arrays at fill time; the
+        # Row Table carries the coordinates, so no issue path re-maps.
+        accesses = self._issue([p.line_addr for p in plines],
+                               [p.coord + (p.row,) for p in plines],
+                               [p.h_bit for p in plines], occupancy, t,
+                               kind, tile)
+        return list(zip(plines, accesses))
+
+    def _issue(self, lines: list[int], decoded: list[tuple],
+               h_bits: list[bool], units: int, t: int, kind: str,
+               tile: int) -> list:
+        """Issue one drain's lines, ``drain_rate`` per cycle from ``t``.
+
+        H-bit lines go through the Cache Interface and yield an LLC
+        ``AccessResult``; the rest bypass the LLC and yield their DRAM
+        request.  ``units`` is the Row Table occupancy at the drain.
+        """
         out = []
         drain_rate = self.config.drain_rate
         is_write = kind in ("st", "rmw")
-        for j, pline in enumerate(row_table.drain()):
+        llc_access = self.hierarchy.llc_access
+        dram_access = self.dram.access
+        tenant = self.tenant
+        for j, line in enumerate(lines):
             arrival = t + j // drain_rate
-            # The tile was decoded wholesale by map_arrays at fill time;
-            # the Row Table carries the coordinates, so neither path below
-            # re-maps the line.
-            decoded = pline.coord + (pline.row,)
-            if pline.h_bit:
-                access = self.hierarchy.llc_access(
-                    pline.line_addr, is_write, arrival, decoded=decoded,
-                    tenant=self.tenant)
+            if h_bits[j]:
+                out.append(llc_access(line, is_write, arrival,
+                                      decoded=decoded[j], tenant=tenant))
             else:
-                req = self.dram.access(pline.line_addr, is_write=False,
-                                       arrival=arrival, decoded=decoded,
-                                       tenant=self.tenant)
-                access = _DirectAccess(req)
-            out.append((pline, access))
+                out.append(dram_access(line, is_write=False, arrival=arrival,
+                                       decoded=decoded[j], tenant=tenant))
         remote = self.dram.remote
-        if remote is not None and out:
+        if remote is not None and lines:
             # Far-memory accounting only: counts the drained lines that
             # live behind the link (the batch DX100 pipelines through it
             # while the baseline pays per-miss round trips).  Never alters
             # timing — the system enqueue already did the link traversal.
-            far = sum(1 for pline, _ in out
-                      if remote.is_far(pline.line_addr))
+            far = sum(1 for line in lines if remote.is_far(line))
             if far:
                 self.stats.add("indirect_far_lines", far)
-        if obs is not None and out:
-            end = t + (len(out) - 1) // drain_rate + 1
-            obs.tile_phase(tile, "drain", t, end, lines=len(out))
-            obs.rt_fill(t, occupancy, len(out))
+        obs = self.obs
+        if obs is not None and lines:
+            end = t + (len(lines) - 1) // drain_rate + 1
+            obs.tile_phase(tile, "drain", t, end, lines=len(lines))
+            obs.rt_fill(t, units, len(lines))
         return out
-
-
-class _DirectAccess:
-    """Adapter giving DRAM-direct requests the AccessResult resolve API."""
-
-    def __init__(self, request) -> None:
-        self.request = request
-        self.complete = -1
-
-    def resolve(self, dram: DRAMSystem) -> int:
-        if self.complete < 0:
-            self.complete = dram.complete(self.request)
-        return self.complete

@@ -17,11 +17,18 @@ The structure realizes the three bandwidth mechanisms:
 A row with more than ``cols`` distinct lines consumes additional BCAM
 entries (one per ``cols`` lines), which is how the hardware's fixed-shape
 SRAM is modelled without losing capacity semantics.
+
+:class:`RowTable` is the element-by-element structure the scalar indirect
+unit drives; :func:`plan_fill` computes the same fill for a whole tile in
+a few NumPy passes, which is what the batched unit uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from repro.common.types import DRAMCoord
 
@@ -39,6 +46,7 @@ class ColumnRecord:
 @dataclass
 class _Slice:
     coord: tuple[int, int, int, int]       # (channel, rank, bankgroup, bank)
+    cols_per_entry: int                    # the owning table's cols_per_row
     rows: dict[int, dict[int, ColumnRecord]] = field(default_factory=dict)
     #: BCAM entries consumed (ceil(lines/cols_per_entry) summed over rows),
     #: maintained incrementally on insert.  The *insert* capacity check
@@ -49,10 +57,8 @@ class _Slice:
     units: int = 0
 
     def entry_units(self) -> int:
-        return sum(-(-len(cols) // _Slice.cols_per_entry)
+        return sum(-(-len(cols) // self.cols_per_entry)
                    for cols in self.rows.values())
-
-    cols_per_entry = 8  # overridden by RowTable
 
 
 @dataclass
@@ -73,7 +79,6 @@ class RowTable:
     def __init__(self, rows_per_slice: int = 64, cols_per_row: int = 8) -> None:
         self.rows_per_slice = rows_per_slice
         self.cols_per_row = cols_per_row
-        _Slice.cols_per_entry = cols_per_row
         self._slices: dict[tuple[int, int, int, int], _Slice] = {}
         self.inserted_words = 0
         self.unique_lines = 0
@@ -91,21 +96,11 @@ class RowTable:
         ``h_bit_fn(line_addr)`` is consulted only on a line's first touch —
         the directory snoop of Section 3.6.
         """
-        return self.insert_decoded(coord.flat_bank, coord.row, line_addr,
-                                   iteration, h_bit_fn)
-
-    def insert_decoded(self, flat_bank: tuple[int, int, int, int], row: int,
-                       line_addr: int, iteration: int,
-                       h_bit_fn) -> tuple[bool, int | None]:
-        """:meth:`insert` keyed by pre-decoded ``(flat_bank, row)``.
-
-        The batched indirect unit decodes whole tiles through
-        ``AddressMapper.map_arrays`` and feeds the coordinate fields here
-        directly, skipping the per-element :class:`DRAMCoord` construction.
-        """
+        flat_bank = coord.flat_bank
+        row = coord.row
         sl = self._slices.get(flat_bank)
         if sl is None:
-            sl = _Slice(coord=flat_bank)
+            sl = _Slice(coord=flat_bank, cols_per_entry=self.cols_per_row)
             self._slices[flat_bank] = sl
         cols = sl.rows.get(row)
         if cols is not None and line_addr in cols:
@@ -218,3 +213,120 @@ class RowTable:
         if self.unique_lines == 0:
             return 1.0
         return self.inserted_words / self.unique_lines
+
+
+# ------------------------------------------------------------ tile planner
+
+class FillSegment(NamedTuple):
+    """One Row Table fill between two drains, as planned by :func:`plan_fill`.
+
+    ``lines`` are the segment's unique cache lines in drain order, the
+    order :meth:`RowTable.drain` would return them in.
+    """
+
+    end: int             # first element of the next segment (the cut)
+    lines: np.ndarray    # unique line addresses, drain order
+    coords: np.ndarray   # (len(lines), 5): channel, rank, bankgroup, bank, row
+    words: np.ndarray    # elements coalesced into each line
+    units: int           # BCAM entry units in use when the segment drains
+
+
+_COORD_FIELDS = ("channel", "rank", "bankgroup", "bank", "row")
+
+
+def plan_fill(fields: dict[str, np.ndarray], rows_per_slice: int,
+              cols_per_row: int) -> list[FillSegment]:
+    """Plan a whole tile's Row Table fill without inserting element-wise.
+
+    ``fields`` is the tile's ``AddressMapper.map_arrays`` decode (only
+    ``line``, ``channel``, ``rank``, ``bankgroup``, ``bank`` and ``row`` are
+    read).  The result is exactly what inserting the elements one by one
+    into a fresh :class:`RowTable` and draining it on every refusal (then
+    once at the end) would produce: the element index of each capacity cut,
+    and per drain the unique lines in issue order, their coordinates and
+    word counts.  H bits are not planned — the caller snoops each
+    segment's lines just before issuing that segment.
+
+    Each segment is scanned over a bounded window of elements (twice the
+    previous segment's length, doubled until a cut or the tile end falls
+    inside it), so a tile with many capacity drains costs O(n), not
+    O(drains x n).
+    """
+    n = len(fields["line"])
+    segments: list[FillSegment] = []
+    start, width = 0, n
+    while start < n:
+        stop = min(n, start + width)
+        seg = _plan_segment(fields, start, stop, stop == n, rows_per_slice,
+                            cols_per_row)
+        if seg is None:          # no cut inside a truncated window: widen
+            width *= 2
+            continue
+        segments.append(seg)
+        width = 2 * (seg.end - start)
+        start = seg.end
+    return segments
+
+
+def _run_rank(sorted_keys: np.ndarray) -> np.ndarray:
+    """Position of each element within its run of equal sorted keys."""
+    idx = np.arange(len(sorted_keys))
+    run_start = np.ones(len(sorted_keys), dtype=bool)
+    run_start[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return idx - np.maximum.accumulate(np.where(run_start, idx, 0))
+
+
+def _plan_segment(fields: dict[str, np.ndarray], start: int, stop: int,
+                  at_end: bool, rows_per_slice: int,
+                  cols_per_row: int) -> FillSegment | None:
+    """Plan the segment that starts at element ``start`` in an empty table,
+    looking only at elements ``[start, stop)``.  None when no cut falls in
+    the window and the window stops short of the tile end."""
+    uniq, first, inverse = np.unique(fields["line"][start:stop],
+                                     return_index=True, return_inverse=True)
+    touch = np.argsort(first)        # unique ids in first-touch order
+    pos = start + first[touch]       # element index of each new line
+    coords = [fields[name][pos] for name in _COORD_FIELDS]
+    channel, rank, bankgroup, bank, row = coords
+    # One integer per slice, ascending in the drain's interleave priority
+    # (rank, bank, bankgroup, channel) — the round-robin visiting order.
+    slices = np.zeros(len(pos), dtype=np.int64)
+    for values in (rank, bank, bankgroup, channel):
+        slices = slices * (int(values.max()) + 1) + values
+    groups = slices * (int(row.max()) + 1) + row
+
+    # BCAM cost: a new line takes a unit when it is the first line of its
+    # (slice, row) group or a multiple of cols_per_row after it.
+    by_group = np.argsort(groups, kind="stable")
+    group_rank = _run_rank(groups[by_group])
+    costly = np.empty(len(pos), dtype=bool)
+    costly[by_group] = group_rank % cols_per_row == 0
+    # The slice overflows at its (rows_per_slice + 1)-th costly new line.
+    costly_at = np.flatnonzero(costly)
+    by_slice = np.argsort(slices[costly_at], kind="stable")
+    over = costly_at[by_slice[_run_rank(slices[costly_at][by_slice])
+                              >= rows_per_slice]]
+    if over.size:
+        k = int(over.min())          # new lines accepted before the cut
+        if k == 0:
+            raise RuntimeError("insert failed on empty Row Table")
+        end = int(pos[k])
+    elif at_end:
+        k, end = len(pos), stop
+    else:
+        return None
+
+    # Drain order: within a slice rows in first-touch order, each row's
+    # lines in first-touch order; slices round-robined in interleave order.
+    row_touch = np.empty(len(pos), dtype=np.int64)
+    row_touch[by_group] = by_group[np.arange(len(pos)) - group_rank]
+    within = np.lexsort((np.arange(k), row_touch[:k], slices[:k]))
+    depth = np.empty(k, dtype=np.int64)
+    depth[within] = _run_rank(slices[:k][within])
+    order = np.lexsort((slices[:k], depth))
+
+    words = np.bincount(inverse[:end - start], minlength=len(uniq))[touch]
+    return FillSegment(end=end, lines=uniq[touch[order]],
+                       coords=np.stack([c[order] for c in coords], axis=1),
+                       words=words[order],
+                       units=int(np.count_nonzero(costly[:k])))
