@@ -17,6 +17,7 @@ CACHE_LINE = 64
 #: Valid ``DRAMConfig.engine`` / ``SystemConfig.frontend`` values.
 ENGINES = ("batched", "scalar")
 PAGE_POLICIES = ("open", "closed")
+SCHEDULERS = ("frfcfs", "fcfs")
 
 
 def ns_to_cycles(ns: float) -> int:
@@ -174,6 +175,8 @@ class DRAMConfig:
                  f"one of {', '.join(PAGE_POLICIES)}")
         _require(self, "engine", self.engine in ENGINES,
                  f"one of {', '.join(ENGINES)}")
+        _require(self, "scheduler", self.scheduler in SCHEDULERS,
+                 f"one of {', '.join(SCHEDULERS)}")
         _require(self, "request_buffer", self.request_buffer >= 1, ">= 1")
 
     @property

@@ -6,9 +6,10 @@ engine's per-request object dispatch for structure-of-arrays state:
 
 * **SoA request buffer** — a request's arrival / direction / row / dense
   bank id live in parallel lists indexed by a monotone request id (rid);
-  the scheduler's heaps hold bare ``(arrival, rid)`` int pairs instead of
-  entry objects, with liveness in one ``bytearray`` (lazy deletion and
-  wholesale compaction exactly as in :class:`~repro.dram.scheduler.FRFCFS`).
+  the scheduler's heaps hold bare ``(arrival, rid)`` int pairs, with
+  liveness in one ``bytearray``: requests taken out of arrival order are
+  popped lazily when they surface, and the heaps are compacted wholesale
+  once dead entries outnumber live ones.
 * **Dense bank state** — per-channel banks are numbered
   ``(rank * bankgroups + bankgroup) * banks_per_group + bank`` and kept in
   one flat list, killing the per-access dict hashing of flat-bank tuples.
@@ -21,8 +22,9 @@ engine's per-request object dispatch for structure-of-arrays state:
   inlined from :mod:`repro.dram.bank`.
 
 The engine is *bitwise equivalent* to the scalar oracle: identical pick
-order (``(arrival, rid)`` reproduces the oracle's ``(arrival, seq)`` — rids
-are assigned in enqueue order and refill is FIFO), identical command
+order (``(arrival, rid)`` reproduces the linear scan's tie-break, earlier
+buffer slot first — rids are assigned in enqueue order and refill is
+FIFO, so buffer order is rid order), identical command
 streams (including refresh, which walks banks in dense order on both
 sides), and identical statistics accumulated in the same order with the
 same float operations.  ``tests/dram/test_engine_differential.py`` holds
@@ -40,9 +42,7 @@ from repro.common.stats import Stats
 from repro.common.types import DRAMCoord, DRAMRequest
 from repro.dram.address import AddressMapper
 from repro.dram.bank import BankState, ChannelBusState, RankState
-
-#: FR-FCFS starvation bound, matching :class:`repro.dram.scheduler.FRFCFS`.
-AGE_CAP = 2000
+from repro.dram.scheduler import AGE_CAP
 
 #: Reclaim SoA storage once the retired tail exceeds this many slots (only
 #: at quiescent points, where no rid can still be referenced).
@@ -57,11 +57,10 @@ class _SchedulerHandle:
     :meth:`repro.obs.events.EventBus.attach`) — this is that attach point.
     """
 
-    __slots__ = ("obs", "age_cap")
+    __slots__ = ("obs",)
 
-    def __init__(self, age_cap: int = AGE_CAP) -> None:
+    def __init__(self) -> None:
         self.obs = None
-        self.age_cap = age_cap
 
 
 class _BufferView:
@@ -88,16 +87,8 @@ class BatchedController:
     """
 
     def __init__(self, channel: int, config: DRAMConfig,
-                 mapper: AddressMapper, scheduler=None,
+                 mapper: AddressMapper,
                  command_log_limit: int | None = None) -> None:
-        if config.scheduler not in ("frfcfs", "fcfs"):
-            raise ValueError(
-                f"batched engine supports frfcfs/fcfs, not "
-                f"{config.scheduler!r} (use engine='scalar')"
-            )
-        if scheduler is not None:
-            raise ValueError("batched engine schedules inline; "
-                             "use engine='scalar' for custom schedulers")
         self.channel = channel
         self.config = config
         self.timing = config.timing

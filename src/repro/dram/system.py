@@ -21,9 +21,7 @@ class DRAMSystem:
     structure-of-arrays production engine,
     :class:`~repro.dram.batched.BatchedController`) or ``"scalar"`` (the
     per-request oracle, :class:`~repro.dram.controller.MemoryController`).
-    Both produce bitwise-identical command streams and metrics; reference
-    (``ref-*``) schedulers are only available on the scalar engine, so the
-    system falls back to it for those.
+    Both produce bitwise-identical command streams and metrics.
 
     ``audit=True`` (or ``config.audit``) attaches one
     :class:`~repro.dram.audit.CommandAuditor` to every channel's command
@@ -36,8 +34,7 @@ class DRAMSystem:
                  audit: bool | None = None) -> None:
         self.config = config or DRAMConfig()
         self.mapper = mapper or AddressMapper(self.config)
-        if (self.config.engine == "batched"
-                and self.config.scheduler in ("frfcfs", "fcfs")):
+        if self.config.engine == "batched":
             controller_cls = BatchedController
         else:
             controller_cls = MemoryController

@@ -109,9 +109,7 @@ class EventBus:
         """Wire this bus into every component of a built ``SimSystem``."""
         for ctrl in system.dram.controllers:
             ctrl.command_observers.append(self.dram_command)
-            scheduler = ctrl.scheduler
-            if hasattr(scheduler, "obs"):
-                scheduler.obs = _SchedulerProbe(self, ctrl.channel)
+        self.attach_schedulers(system.dram)
         if self.timeline is not None:
             self.timeline.watch(system)
         if system.dram.remote is not None:
@@ -126,6 +124,14 @@ class EventBus:
         if system.dx100 is not None:
             system.dx100.obs = self
             system.dx100.indirect.obs = self
+
+    def attach_schedulers(self, dram) -> None:
+        """Have every channel scheduler of the
+        :class:`~repro.dram.DRAMSystem` ``dram`` publish its age-cap
+        overrides on this bus.  :meth:`attach` calls it; the serving
+        layer, which drives a bare ``DRAMSystem``, calls it alone."""
+        for ctrl in dram.controllers:
+            ctrl.scheduler.obs = _SchedulerProbe(self, ctrl.channel)
 
     # -------------------------------------------------------------- publish
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from repro.common.config import DRAMConfig
 from repro.common.types import DRAMCoord, DRAMRequest
 from repro.dram.system import DRAMSystem
-from repro.obs.events import EventBus, _SchedulerProbe
+from repro.obs.events import EventBus
 from repro.serve.admission import AdmissionController, check_buckets
 from repro.serve.partition import (BufferLedger, PartitionedRowTable,
                                    check_partition)
@@ -156,18 +156,6 @@ class ServeReport:
         return "\n".join(lines)
 
 
-def _attach_starvation_probes(dram: DRAMSystem, bus: EventBus) -> None:
-    """Wire the per-channel schedulers' starvation hook to ``bus``.
-
-    The full :meth:`EventBus.attach` expects a built ``SimSystem``; serve
-    drives a bare ``DRAMSystem``, so only the scheduler probes are wired.
-    """
-    for ctrl in dram.controllers:
-        scheduler = ctrl.scheduler
-        if hasattr(scheduler, "obs"):
-            setattr(scheduler, "obs", _SchedulerProbe(bus, ctrl.channel))
-
-
 def serve_run(specs: list[TenantSpec],
               config: DRAMConfig | None = None,
               rows_per_slice: int = 64,
@@ -195,7 +183,7 @@ def serve_run(specs: list[TenantSpec],
     config = config or DRAMConfig()
     dram = DRAMSystem(config)
     bus = EventBus(trace=True)
-    _attach_starvation_probes(dram, bus)
+    bus.attach_schedulers(dram)
 
     n = len(specs)
     rq = row_quota if row_quota is not None else max(1, rows_per_slice // n)

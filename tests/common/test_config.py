@@ -71,13 +71,14 @@ def test_dmp_preset():
     (lambda: DRAMConfig(page_policy="bogus"), "page_policy", "open, closed"),
     (lambda: DRAMConfig(request_buffer=0), "request_buffer", ">= 1"),
     (lambda: DRAMConfig(engine="vectorized"), "engine", "batched, scalar"),
+    (lambda: DRAMConfig(scheduler="ref-frfcfs"), "scheduler", "frfcfs, fcfs"),
     (lambda: DX100Config(tile_elems=0), "tile_elems", ">= 1"),
     (lambda: DX100Config(fill_rate=0), "fill_rate", ">= 1"),
     (lambda: DX100Config(drain_rate=0), "drain_rate", ">= 1"),
     (lambda: SystemConfig(frontend="vectorized"), "frontend",
      "batched, scalar"),
-], ids=["page_policy", "request_buffer", "engine", "tile_elems",
-        "fill_rate", "drain_rate", "frontend"])
+], ids=["page_policy", "request_buffer", "engine", "scheduler",
+        "tile_elems", "fill_rate", "drain_rate", "frontend"])
 def test_out_of_domain_config_is_rejected_at_construction(build, field,
                                                           valid):
     """A config that could not run never constructs, and the error names

@@ -3,12 +3,15 @@
 :class:`~repro.dram.batched.BatchedController` must be *bitwise identical*
 to :class:`~repro.dram.MemoryController` — same command stream (kind,
 cycle, bank, row, in order), same per-request start/finish/row-hit, same
-counters and final time — across every configuration both support.  Two
+counters and final time — across every configuration both support.  Three
 layers:
 
 * hypothesis property tests drive randomized request programs (mixed
   reads/writes, bursty and sparse arrivals, open and closed page, one and
   two ranks, DDR4 and DDR5) through both engines side by side;
+* deterministic scheduler corner cases pin the age-cap override (behind
+  a row-hit stream longer than ``AGE_CAP``) and the equal-arrival
+  tie-break (earlier enqueue wins) against the scalar linear scan;
 * seeded long-run tests cross several tREFI refresh intervals and check
   the refresh machinery (REF/PRE emission, tRFC blocking) agrees command
   for command, plus system-level equivalence through
@@ -29,6 +32,7 @@ from repro.common.config import RemoteLinkConfig, ddr5_6400
 from repro.dram import (AddressMapper, CommandAuditor, DRAMSystem,
                         MemoryController)
 from repro.dram.batched import BatchedController
+from repro.dram.scheduler import AGE_CAP
 
 T = DDR4Timing()
 
@@ -78,8 +82,14 @@ def _requests(cfg: DRAMConfig, program: list[tuple]):
 
 def _assert_equivalent(cfg: DRAMConfig,
                        program: list[tuple[int, bool, int]]) -> None:
+    _assert_drains_equivalent(cfg, *_requests(cfg, program))
+
+
+def _assert_drains_equivalent(cfg: DRAMConfig, reqs_s: list[DRAMRequest],
+                              reqs_b: list[DRAMRequest]) -> list[tuple]:
+    """Enqueue the twin request lists, drain both engines, compare
+    everything; returns the (shared) command log."""
     scalar, batched, slog, blog = _pair(cfg)
-    reqs_s, reqs_b = _requests(cfg, program)
     for rs, rb in zip(reqs_s, reqs_b):
         scalar.enqueue(rs)
         batched.enqueue(rb)
@@ -94,6 +104,7 @@ def _assert_equivalent(cfg: DRAMConfig,
     assert scalar.stats.mins == batched.stats.mins
     assert scalar.stats.maxs == batched.stats.maxs
     assert scalar.mean_occupancy() == batched.mean_occupancy()
+    return slog
 
 
 # ------------------------------------------------- property: random programs
@@ -189,6 +200,73 @@ def test_tenant_tags_never_change_the_schedule():
             finishes.append([(r.start, r.finish, r.row_hit) for r in reqs])
         assert logs[0] == logs[1]
         assert finishes[0] == finishes[1]
+
+
+# ------------------------------------------- scheduler corner cases
+
+class _StarvationProbe:
+    """Counts age-cap overrides published through ``scheduler.obs``."""
+
+    def __init__(self) -> None:
+        self.cycles: list[int] = []
+
+    def starvation(self, cycle: int) -> None:
+        self.cycles.append(cycle)
+
+
+def _twin(spec: list[tuple[int, bool, int]]):
+    """Two independent request lists from (addr, is_write, arrival)."""
+    return tuple([DRAMRequest(a, w, arrival=t) for a, w, t in spec]
+                 for _ in range(2))
+
+
+def test_age_cap_override_agrees():
+    """A row miss at arrival 0 sits behind a same-bank row-hit stream that
+    outlasts AGE_CAP: FR-FCFS must override the hits for it, and both
+    engines must override at the same picks."""
+    cfg = DRAMConfig(channels=1)
+    mapper = AddressMapper(cfg)
+    hits = 2 * AGE_CAP // T.tCCD_L
+    spec = [(mapper.compose(row=1, column=0), False, 0),
+            (mapper.compose(row=9, column=0), False, 0)]
+    spec += [(mapper.compose(row=1, column=i % cfg.columns), False, 4 * i)
+             for i in range(1, hits)]
+    reqs_s, reqs_b = _twin(spec)
+    scalar, batched, slog, blog = _pair(cfg)
+    probes = []
+    for ctrl, reqs in ((scalar, reqs_s), (batched, reqs_b)):
+        probe = _StarvationProbe()
+        ctrl.scheduler.obs = probe
+        probes.append(probe)
+        for req in reqs:
+            ctrl.enqueue(req)
+        ctrl.drain()
+    assert probes[0].cycles, "the stream must starve the miss"
+    assert probes[0].cycles == probes[1].cycles
+    assert slog == blog
+    assert [(r.start, r.finish) for r in reqs_s] == \
+        [(r.start, r.finish) for r in reqs_b]
+    # The miss is serviced by the override, long before the hit stream
+    # drains, and not before it has waited out the cap.
+    miss = reqs_s[1]
+    assert AGE_CAP < miss.start < reqs_s[-1].start
+    assert not miss.row_hit
+
+
+@pytest.mark.parametrize("scheduler", ["frfcfs", "fcfs"])
+def test_equal_arrivals_break_ties_by_enqueue_order(scheduler):
+    """Equal-arrival requests enqueued out of bank order: ties go to the
+    earlier enqueue on both engines, so the first ACTs follow enqueue
+    order (3, 1, 2, 0), not bank order."""
+    cfg = DRAMConfig(channels=1, scheduler=scheduler)
+    mapper = AddressMapper(cfg)
+    banks = (3, 1, 2, 0)
+    spec = [(mapper.compose(bank=b, row=r, column=c), (b + c) % 2 == 1, t)
+            for t in (0, 0, 600) for r in (2, 5) for b in banks
+            for c in (0, 1)]
+    log = _assert_drains_equivalent(cfg, *_twin(spec))
+    first_acts = [bank[3] for kind, _, bank, _ in log if kind == "ACT"][:4]
+    assert first_acts == list(banks)
 
 
 # ------------------------------------------------------ seeded long runs
@@ -376,13 +454,11 @@ def test_link_disabled_is_bitwise_the_default():
 
 
 def test_batched_rejects_reference_schedulers():
-    cfg = DRAMConfig(channels=1, scheduler="ref-frfcfs")
-    with pytest.raises(ValueError):
-        BatchedController(0, cfg, AddressMapper(cfg))
-    # The system falls back to the oracle rather than failing.
-    system = DRAMSystem(DRAMConfig(channels=1, scheduler="ref-frfcfs",
-                                   engine="batched"))
-    assert isinstance(system.controllers[0], MemoryController)
+    # The linear scans are the scalar engine's only schedulers, not extra
+    # policy names: a ``ref-*`` scheduler never reaches either engine.
+    with pytest.raises(ValueError, match="scheduler must be one of "
+                                         "frfcfs, fcfs"):
+        DRAMConfig(channels=1, scheduler="ref-frfcfs", engine="batched")
 
 
 def test_unknown_engine_rejected():

@@ -24,8 +24,8 @@ import json
 import pytest
 
 from repro.common.config import (
-    ENGINES, PAGE_POLICIES, DDR4Timing, DRAMConfig, RemoteLinkConfig,
-    SystemConfig,
+    ENGINES, PAGE_POLICIES, SCHEDULERS, DDR4Timing, DRAMConfig,
+    RemoteLinkConfig, SystemConfig,
 )
 from repro.sim.specs import system_config_from_dict, system_config_to_dict
 from repro.sim.sweep import RunCache, SweepTask, execute_task
@@ -34,7 +34,7 @@ from repro.sim.sweep import RunCache, SweepTask, execute_task
 #: Fields the config validates against a closed set of values: a mutation
 #: must stay inside it, or the config would not construct.
 DOMAINS = {"page_policy": PAGE_POLICIES, "engine": ENGINES,
-           "frontend": ENGINES}
+           "frontend": ENGINES, "scheduler": SCHEDULERS}
 
 
 def _mutate(name, value):
