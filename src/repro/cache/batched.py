@@ -515,6 +515,31 @@ class BatchedHierarchy(MemoryHierarchy):
                 return True
         return False
 
+    def snoop_lines(self, lines: list[int]) -> list[bool]:
+        """:meth:`snoop` over a whole drain segment: one set-probe loop,
+        same LLC -> L1s -> L2s short-circuit order per line (each level's
+        set index computed once per line)."""
+        shift = self._line_shift
+        llc_sets = self._llc_sets
+        llc_nsets = self._llc_nsets
+        levels = [(level[0]._num_sets, [c._sets for c in level])
+                  for level in (self.l1, self.l2) if level]
+        out = []
+        for line in lines:
+            li = line >> shift
+            hit = li in llc_sets[li % llc_nsets]
+            if not hit:
+                for nsets, caches in levels:
+                    index = li % nsets
+                    for sets in caches:
+                        if li in sets[index]:
+                            hit = True
+                            break
+                    if hit:
+                        break
+            out.append(hit)
+        return out
+
     # ----------------------------------------------------------- tile streams
 
     def access_lines(self, lines, is_write: bool, t_start: int,

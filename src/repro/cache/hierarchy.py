@@ -126,7 +126,7 @@ class MemoryHierarchy:
                     oldest.ready = self.dram.complete(oldest.request)
                 t = max(t, oldest.ready)
                 mshr.release(oldest.line_addr)
-                self.stats.add(f"{mshr.name}_stalls")
+                self.stats.counters[mshr._key_stalls] += 1.0
         return t
 
     def _release_resolved(self, mshr: MSHRFile) -> None:

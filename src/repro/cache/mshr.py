@@ -38,7 +38,7 @@ class MSHRFile:
     """Bounded set of outstanding misses with same-line coalescing."""
 
     __slots__ = ("capacity", "name", "stats", "obs", "_entries", "_counters",
-                 "_key_coalesced", "_key_allocations")
+                 "_key_coalesced", "_key_allocations", "_key_stalls")
 
     def __init__(self, capacity: int, stats: Stats | None = None,
                  name: str = "mshr") -> None:
@@ -56,6 +56,7 @@ class MSHRFile:
         self._counters = self.stats.counters
         self._key_coalesced = f"{name}_coalesced"
         self._key_allocations = f"{name}_allocations"
+        self._key_stalls = f"{name}_stalls"
 
     def __len__(self) -> int:
         return len(self._entries)

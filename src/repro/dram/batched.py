@@ -9,7 +9,11 @@ engine's per-request object dispatch for structure-of-arrays state:
   the scheduler's heaps hold bare ``(arrival, rid)`` int pairs, with
   liveness in one ``bytearray``: requests taken out of arrival order are
   popped lazily when they surface, and the heaps are compacted wholesale
-  once dead entries outnumber live ones.
+  once dead entries outnumber live ones.  The per-(bank, row) heaps the
+  row-hit scan reads are filled lazily, just before a scan: requests the
+  age cap serves oldest-first (long DX100 drains) are never indexed.  A
+  whole run of requests enters with
+  :meth:`~BatchedController.enqueue_run` (``list.extend`` per column).
 * **Dense bank state** — per-channel banks are numbered
   ``(rank * bankgroups + bankgroup) * banks_per_group + bank`` and kept in
   one flat list, killing the per-access dict hashing of flat-bank tuples.
@@ -17,25 +21,33 @@ engine's per-request object dispatch for structure-of-arrays state:
   :meth:`~repro.dram.address.AddressMapper.map_arrays` hand coordinates in
   as ints (:meth:`enqueue_decoded`); nothing on the service path touches a
   ``DRAMCoord``.
-* **Flat service kernel** — refill, FR-FCFS take, and command timing run in
-  one frame with the JEDEC constants hoisted to locals; bank/bus math is
-  inlined from :mod:`repro.dram.bank`.
+* **One-frame service kernel** — refill, FR-FCFS/FCFS take and command
+  timing run in one frame (:meth:`~BatchedController._service`), looping
+  there for ``service_until_done`` and ``drain``; ``service_one`` is its
+  one-request form.  JEDEC constants, SoA columns, bank/rank lists and the
+  bus state are locals; bank/bus math is inlined from
+  :mod:`repro.dram.bank`.  Per-request statistics accumulate in locals and
+  are flushed on exit — and before any command observer runs, since
+  observers (the obs timeline) read them mid-service.
 
 The engine is *bitwise equivalent* to the scalar oracle: identical pick
 order (``(arrival, rid)`` reproduces the linear scan's tie-break, earlier
 buffer slot first — rids are assigned in enqueue order and refill is
-FIFO, so buffer order is rid order), identical command
-streams (including refresh, which walks banks in dense order on both
-sides), and identical statistics accumulated in the same order with the
-same float operations.  ``tests/dram/test_engine_differential.py`` holds
-the differential suite; select the oracle with ``DRAMConfig.engine =
-"scalar"``.
+FIFO, so buffer order is rid order), identical command streams
+(including refresh, which walks banks in dense order on both sides), and
+identical statistics (the deferred sums are integer-valued, so one flush
+equals the per-request additions bitwise).
+``tests/dram/test_engine_differential.py`` and
+``tests/dram/test_segment_handoff.py`` hold the differential suites;
+select the oracle with ``DRAMConfig.engine = "scalar"``.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+
+import numpy as np
 
 from repro.common.config import DRAMConfig
 from repro.common.stats import Stats
@@ -135,9 +147,11 @@ class BatchedController:
 
         # Inline FR-FCFS index over (arrival, rid) pairs.
         self._any: list[tuple[int, int]] = []
-        # bank_id -> row -> (read_heap, write_heap)
-        self._groups: dict[int, dict[int, tuple[list, list]]] = {}
+        # row * n_banks + bank_id -> (read_heap, write_heap)
+        self._groups: dict[int, tuple[list, list]] = {}
         self._hot: dict[int, tuple[list, list]] = {}
+        # Buffered rids not yet in their (bank, row) heaps (FR-FCFS only).
+        self._unindexed: list[int] = []
 
         self.buffer = _BufferView(self)
         self.time = 0
@@ -145,23 +159,18 @@ class BatchedController:
         self._last_occ_time = 0
         self._buffer_cap = config.request_buffer
         self._line_bytes = config.line_bytes
-        # JEDEC constants as plain instance ints, hoisted to locals by the
-        # service kernel (the frozen-dataclass reads added up).
+        # JEDEC constants, unpacked into locals by the service kernel in one
+        # step (the frozen-dataclass reads added up).
         t = self.timing
-        self._tRP = t.tRP
-        self._tRCD = t.tRCD
-        self._tRAS = t.tRAS
-        self._tRC = t.tRC
-        self._tRTP = t.tRTP
-        self._tWR = t.tWR
-        self._tCL = t.tCL
-        self._tCWL = t.tCWL
-        self._tBL = t.tBL
-        self._tCCD_S = t.tCCD_S
-        self._tCCD_L = t.tCCD_L
-        self._tRRD_S = t.tRRD_S
-        self._tRRD_L = t.tRRD_L
-        self._tFAW = t.tFAW
+        self._jedec = (t.tRP, t.tRCD, t.tRAS, t.tRC, t.tRTP, t.tWR, t.tCL,
+                       t.tCWL, t.tBL, t.tCCD_S, t.tCCD_L, t.tRRD_S, t.tRRD_L,
+                       t.tFAW)
+        # Every container the kernel walks, likewise unpacked in one step.
+        # Their identities never change: reset and compaction work in place.
+        self._soa = (self._arr, self._w, self._row, self._bg, self._bid,
+                     self._req, self._alive, self.input_queue, self._any,
+                     self._groups, self._hot, self._unindexed,
+                     self._bank_list, self._rank_list, self._fb)
         self.command_observers: list = []
         self.command_log: list[tuple] = []
         self.command_log_limit = command_log_limit
@@ -205,18 +214,17 @@ class BatchedController:
             raise ValueError(
                 f"request for channel {coord.channel} routed to {self.channel}"
             )
-        self._push(req, coord.rank, coord.bankgroup, coord.bank, coord.row)
+        self.enqueue_decoded(req, coord.rank, coord.bankgroup, coord.bank,
+                             coord.row)
 
     def enqueue_decoded(self, req: DRAMRequest, rank: int, bankgroup: int,
                         bank: int, row: int) -> None:
         """Accept a request with pre-decoded coordinates (batch decode)."""
-        self._push(req, rank, bankgroup, bank, row)
-
-    def _push(self, req: DRAMRequest, rank: int, bankgroup: int, bank: int,
-              row: int) -> None:
-        if (not self._buffered and not self.input_queue
-                and len(self._arr) > _RESET_THRESHOLD):
+        rid = len(self._arr)
+        if (rid > _RESET_THRESHOLD and not self._buffered
+                and not self.input_queue):
             self._reset_storage()
+            rid = 0
         self._arr.append(req.arrival)
         self._w.append(req.is_write)
         self._row.append(row)
@@ -225,10 +233,39 @@ class BatchedController:
                          * self._banks_per_group + bank)
         self._req.append(req)
         self._alive.append(0)
-        self.input_queue.append(len(self._arr) - 1)
+        self.input_queue.append(rid)
         counters = self.stats.counters
         counters["requests"] += 1
         counters["writes" if req.is_write else "reads"] += 1
+
+    def enqueue_run(self, reqs: list[DRAMRequest], coords: np.ndarray,
+                    is_write: bool) -> None:
+        """Accept a run of same-direction requests at once.
+
+        ``coords`` holds each request's ``(channel, rank, bankgroup, bank,
+        row)`` (one row per request, as decoded by
+        :meth:`~repro.dram.address.AddressMapper.map_arrays`); the SoA
+        columns grow by ``list.extend`` and the dense bank ids come from one
+        NumPy expression.  Equivalent to :meth:`enqueue_decoded` per request.
+        """
+        n = len(reqs)
+        base = len(self._arr)
+        if (base > _RESET_THRESHOLD and not self._buffered
+                and not self.input_queue):
+            self._reset_storage()
+            base = 0
+        self._arr.extend([req.arrival for req in reqs])
+        self._w.extend([is_write] * n)
+        self._row.extend(coords[:, 4].tolist())
+        self._bg.extend(coords[:, 2].tolist())
+        self._bid.extend(((coords[:, 1] * self._bankgroups + coords[:, 2])
+                          * self._banks_per_group + coords[:, 3]).tolist())
+        self._req.extend(reqs)
+        self._alive.extend(bytes(n))
+        self.input_queue.extend(range(base, base + n))
+        counters = self.stats.counters
+        counters["requests"] += n
+        counters["writes" if is_write else "reads"] += n
 
     def _reset_storage(self) -> None:
         """Reclaim SoA slots at a quiescent point (nothing in flight).
@@ -244,10 +281,11 @@ class BatchedController:
         del self._bg[:]
         del self._bid[:]
         del self._req[:]
-        self._alive = bytearray()
-        self._any = []
-        self._groups = {}
-        self._hot = {}
+        del self._alive[:]
+        del self._any[:]
+        self._groups.clear()
+        self._hot.clear()
+        del self._unindexed[:]
         self._dead = 0
 
     @property
@@ -265,145 +303,33 @@ class BatchedController:
 
     # ------------------------------------------------------------- scheduling
 
-    def _refill(self, now: int) -> None:
-        """Move arrived requests into the scheduling window, oldest first."""
-        queue = self.input_queue
-        arr = self._arr
-        cap = self._buffer_cap
-        buffered = self._buffered
-        any_heap = self._any
-        alive = self._alive
-        if self._fcfs:
-            while queue and buffered < cap and arr[queue[0]] <= now:
-                rid = queue.popleft()
-                alive[rid] = 1
-                heappush(any_heap, (arr[rid], rid))
-                buffered += 1
-            self._buffered = buffered
-            return
-        groups = self._groups
-        hot = self._hot
-        rows = self._row
-        bids = self._bid
-        writes = self._w
-        bank_list = self._bank_list
-        while queue and buffered < cap and arr[queue[0]] <= now:
-            rid = queue.popleft()
-            alive[rid] = 1
-            node = (arr[rid], rid)
-            heappush(any_heap, node)
-            buffered += 1
-            bid = bids[rid]
-            row = rows[rid]
-            rows_map = groups.get(bid)
-            if rows_map is None:
-                rows_map = groups[bid] = {}
-            pair = rows_map.get(row)
-            if pair is None:
-                pair = rows_map[row] = ([], [])
-            heappush(pair[1] if writes[rid] else pair[0], node)
-            if bank_list[bid].open_row == row:
-                hot[bid] = pair
-        self._buffered = buffered
-
-    def _note_occupancy(self, now: int) -> None:
-        dt = now - self._last_occ_time
-        if dt > 0:
-            self.stats.observe("occupancy", self._buffered, dt)
-            self._last_occ_time = now
-
-    def _take(self, now: int) -> int:
-        """Pick and remove the next rid (inline FR-FCFS / FCFS)."""
-        any_heap = self._any
-        alive = self._alive
-        if self._fcfs:
-            rid = heappop(any_heap)[1]
-            alive[rid] = 0
-            self._buffered -= 1
-            return rid
-        while not alive[any_heap[0][1]]:
-            heappop(any_heap)
-            self._dead -= 1
-        oldest = any_heap[0]
-        if now - oldest[0] > AGE_CAP:
-            rid = oldest[1]
-            obs = self.scheduler.obs
-            if obs is not None:
-                obs.starvation(now)
-        else:
-            best_dir = best_hit = None
-            hot = self._hot
-            stale = None
-            last_was_write = self.bus.last_was_write
-            dead = 0
-            for hot_bid, pair in hot.items():
-                read_heap, write_heap = pair
-                while read_heap and not alive[read_heap[0][1]]:
-                    heappop(read_heap)
-                    dead += 1
-                while write_heap and not alive[write_heap[0][1]]:
-                    heappop(write_heap)
-                    dead += 1
-                if read_heap:
-                    head = read_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if not last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-                if write_heap:
-                    head = write_heap[0]
-                    if best_hit is None or head < best_hit:
-                        best_hit = head
-                    if last_was_write and (
-                            best_dir is None or head < best_dir):
-                        best_dir = head
-                elif not read_heap:
-                    stale = [hot_bid] if stale is None else stale + [hot_bid]
-            if dead:
-                self._dead -= dead
-            if stale is not None:
-                for hot_bid in stale:
-                    del hot[hot_bid]
-            if best_dir is not None:
-                rid = best_dir[1]
-            elif best_hit is not None:
-                rid = best_hit[1]
-            else:
-                rid = oldest[1]
-        alive[rid] = 0
-        self._buffered -= 1
-        self._dead += 1
-        if self._dead > 64 and self._dead > 2 * self._buffered:
-            self._compact()
-        return rid
-
     def _compact(self) -> None:
-        """Drop dead nodes from every heap and rebuild the hot set."""
+        """Drop dead nodes from every heap and rebuild the hot set (in
+        place: the service kernel holds these containers in locals and
+        resets its dead count itself)."""
         alive = self._alive
-        self._any = [node for node in self._any if alive[node[1]]]
-        heapify(self._any)
+        any_heap = self._any
+        any_heap[:] = [node for node in any_heap if alive[node[1]]]
+        heapify(any_heap)
         groups = self._groups
-        for rows_map in groups.values():
-            for row in list(rows_map):
-                read_heap, write_heap = rows_map[row]
-                read_heap[:] = [n for n in read_heap if alive[n[1]]]
-                write_heap[:] = [n for n in write_heap if alive[n[1]]]
-                if read_heap:
-                    heapify(read_heap)
-                if write_heap:
-                    heapify(write_heap)
-                if not read_heap and not write_heap:
-                    del rows_map[row]
-        self._hot = {}
-        bank_list = self._bank_list
-        for bid, rows_map in groups.items():
-            open_row = bank_list[bid].open_row
-            if open_row is not None:
-                pair = rows_map.get(open_row)
+        for key in list(groups):
+            read_heap, write_heap = groups[key]
+            read_heap[:] = [n for n in read_heap if alive[n[1]]]
+            write_heap[:] = [n for n in write_heap if alive[n[1]]]
+            if read_heap:
+                heapify(read_heap)
+            if write_heap:
+                heapify(write_heap)
+            if not read_heap and not write_heap:
+                del groups[key]
+        hot = self._hot
+        hot.clear()
+        n_banks = len(self._bank_list)
+        for bid, bank in enumerate(self._bank_list):
+            if bank.open_row is not None:
+                pair = groups.get(bank.open_row * n_banks + bid)
                 if pair is not None and (pair[0] or pair[1]):
-                    self._hot[bid] = pair
-        self._dead = 0
+                    hot[bid] = pair
 
     # ------------------------------------------------------------- refresh
 
@@ -453,211 +379,416 @@ class BatchedController:
 
     # ------------------------------------------------------------- service
 
-    def service_one(self) -> DRAMRequest | None:
-        """Schedule and complete one request; returns it, or None if idle.
+    def _flush(self, serviced: int, hits: int, conflicts: int, empty: int,
+               occ_sum: int, occ_w: int, first: int, last: int,
+               buffered: int) -> None:
+        """Publish the service kernel's frame-local statistics.
 
-        One flat kernel: refill, pick, and the full ACT/PRE/column timing
-        advance run in this frame with the JEDEC constants in locals.
+        Only non-zero deltas are written, so no zero-valued key appears
+        that per-request accounting would not have created.  Every delta
+        is an integer-valued float sum, so one flush equals the per-request
+        additions bitwise.  Also publishes the buffer occupancy the kernel
+        keeps in a local (``len(ctrl.buffer)``).
         """
-        arr = self._arr
-        queue = self.input_queue
-        now = self.time
-        if queue and self._buffered < self._buffer_cap and arr[queue[0]] <= now:
-            self._refill(now)
-        if not self._buffered:
-            if not queue:
-                return None
-            # Idle gap: skip ahead to the next arrival.
-            self._note_occupancy(now)
-            arrival = arr[queue[0]]
-            if arrival > now:
-                now = arrival
-            self.time = now
-            self._last_occ_time = now
-            self._refill(now)
-        rid = self._take(now)
-
-        # ------------------------------------------------- execute (inline)
+        self._buffered = buffered
         stats = self.stats
         counters = stats.counters
-        observers = self.command_observers
-        arrival = arr[rid]
-        earliest = now if now > arrival else arrival
-        if earliest >= self._next_ref:
-            # Refresh points have passed: catch up before the row-state
-            # check — a REF closes every open row in its rank.
-            self._refresh_catch_up(earliest)
-        bid = self._bid[rid]
-        row = self._row[rid]
-        bg = self._bg[rid]
-        is_write = self._w[rid]
-        req = self._req[rid]
-        bank = self._bank_list[bid]
+        if serviced:
+            counters["serviced"] += serviced
+            counters["bytes"] += serviced * self._line_bytes
+            mins = stats.mins
+            cur = mins.get("first_arrival")
+            if cur is None or first < cur:
+                mins["first_arrival"] = first
+            maxs = stats.maxs
+            cur = maxs.get("last_finish")
+            if cur is None or last > cur:
+                maxs["last_finish"] = last
+        if hits:
+            counters["row_hits"] += hits
+        if conflicts:
+            counters["row_conflicts"] += conflicts
+        if empty:
+            counters["row_empty"] += empty
+        if occ_w:
+            stats._wsum["occupancy"] += occ_sum
+            stats._wweight["occupancy"] += occ_w
 
-        if bank.open_row == row:
-            counters["row_hits"] += 1
-            req.row_hit = True
-            t_col_min = bank.col_ready
-            if earliest > t_col_min:
-                t_col_min = earliest
-        else:
-            rank = self._rank_list[bid // self._banks_per_rank]
-            if bank.open_row is not None:
-                counters["row_conflicts"] += 1
-                t_pre = bank.pre_ready
-                if earliest > t_pre:
-                    t_pre = earliest
-                old_row = bank.open_row
-                bank.open_row = None
-                t = t_pre + self._tRP
+    def _service(self, target: DRAMRequest | None = None, limit: int = 0,
+                 bound: int | None = None) -> DRAMRequest | None:
+        """The service kernel: refill, FR-FCFS/FCFS take and the full
+        ACT/PRE/column timing advance for as many requests as asked, in
+        one frame.
+
+        Stops once ``target`` has finished (raising if the channel goes
+        idle first), after ``limit`` requests (0 = no limit), when the
+        channel is idle, or — with ``bound`` — as soon as the channel's
+        next event lies beyond ``bound``.  Returns the last request
+        serviced (None if none was).
+
+        JEDEC constants, SoA columns, bank/rank lists, the bus state, the
+        clock and the per-request statistics live in locals; statistics
+        are flushed (:meth:`_flush`) on exit and, when command observers
+        are attached, before any observer sees a command — observers such
+        as the obs timeline read ``serviced``/``row_hits``/``bytes`` and
+        the buffer occupancy mid-service.
+        """
+        (arr, writes, rows, bgs, bids, reqs, alive, queue, any_heap, groups,
+         hot, unindexed, bank_list, rank_list, fbs) = self._soa
+        (tRP, tRCD, tRAS, tRC, tRTP, tWR, tCL, tCWL, tBL, tCCD_S, tCCD_L,
+         tRRD_S, tRRD_L, tFAW) = self._jedec
+        fcfs = self._fcfs
+        closed = self._closed_page
+        cap = self._buffer_cap
+        banks_per_rank = self._banks_per_rank
+        n_banks = len(bank_list)
+        observers = self.command_observers
+        probe = self.scheduler.obs
+        bus = self.bus
+        last_col = bus.last_col
+        last_col_bg = bus.last_col_bg
+        last_was_write = bus.last_was_write
+        data_free = bus.data_free
+        now = self.time
+        buffered = self._buffered
+        dead = self._dead
+        next_ref = self._next_ref
+        occ_t = self._last_occ_time
+        occ_sum = occ_w = 0
+        n_serv = n_hit = n_conf = n_empty = 0
+        first = 1 << 62
+        last_fin = -(1 << 62)
+        served = 0
+        req = None
+        stranded = False
+        while target is None or target.finish < 0:
+            if not buffered:
+                if not queue:
+                    stranded = target is not None
+                    break
+                arrival = arr[queue[0]]
+                if arrival > now:
+                    # Idle gap: account the empty buffer, skip ahead.
+                    dt = now - occ_t
+                    if dt > 0:
+                        occ_w += dt
+                    now = occ_t = arrival
+            # Refill: arrived requests enter the window, oldest first.
+            while queue and buffered < cap and arr[queue[0]] <= now:
+                rid = queue.popleft()
+                alive[rid] = 1
+                heappush(any_heap, (arr[rid], rid))
+                buffered += 1
+                if not fcfs:
+                    unindexed.append(rid)
+
+            # ------------------------------------------------------ take
+            if fcfs:
+                rid = heappop(any_heap)[1]
+            else:
+                while not alive[any_heap[0][1]]:
+                    heappop(any_heap)
+                    dead -= 1
+                oldest = any_heap[0]
+                if now - oldest[0] > AGE_CAP:
+                    rid = oldest[1]
+                    if probe is not None:
+                        probe.starvation(now)
+                else:
+                    # Index the requests refilled since the last row-hit
+                    # scan by (bank, row); the age-cap path never needs
+                    # them, so long starved streaks skip the indexing.
+                    for rid in unindexed:
+                        if alive[rid]:
+                            bid = bids[rid]
+                            row = rows[rid]
+                            key = row * n_banks + bid
+                            pair = groups.get(key)
+                            if pair is None:
+                                pair = groups[key] = ([], [])
+                            heappush(pair[1] if writes[rid] else pair[0],
+                                     (arr[rid], rid))
+                            if bank_list[bid].open_row == row:
+                                hot[bid] = pair
+                    del unindexed[:]
+                    best_dir = best_hit = None
+                    stale = None
+                    for hot_bid, pair in hot.items():
+                        read_heap, write_heap = pair
+                        while read_heap and not alive[read_heap[0][1]]:
+                            heappop(read_heap)
+                            dead -= 1
+                        while write_heap and not alive[write_heap[0][1]]:
+                            heappop(write_heap)
+                            dead -= 1
+                        if read_heap:
+                            head = read_heap[0]
+                            if best_hit is None or head < best_hit:
+                                best_hit = head
+                            if not last_was_write and (
+                                    best_dir is None or head < best_dir):
+                                best_dir = head
+                        if write_heap:
+                            head = write_heap[0]
+                            if best_hit is None or head < best_hit:
+                                best_hit = head
+                            if last_was_write and (
+                                    best_dir is None or head < best_dir):
+                                best_dir = head
+                        elif not read_heap:
+                            stale = ([hot_bid] if stale is None
+                                     else stale + [hot_bid])
+                    if stale is not None:
+                        for hot_bid in stale:
+                            del hot[hot_bid]
+                    if best_dir is not None:
+                        rid = best_dir[1]
+                    elif best_hit is not None:
+                        rid = best_hit[1]
+                    else:
+                        rid = oldest[1]
+                dead += 1
+            alive[rid] = 0
+            buffered -= 1
+            if dead > 64 and dead > 2 * buffered:
+                self._compact()
+                dead = 0
+
+            # --------------------------------------------------- execute
+            arrival = arr[rid]
+            earliest = now if now > arrival else arrival
+            if earliest >= next_ref:
+                # Refresh points have passed: catch up before the row-state
+                # check — a REF closes every open row in its rank.
+                if observers:
+                    self._flush(n_serv, n_hit, n_conf, n_empty, occ_sum,
+                                occ_w, first, last_fin, buffered)
+                    n_serv = n_hit = n_conf = n_empty = occ_sum = occ_w = 0
+                self._refresh_catch_up(earliest)
+                next_ref = self._next_ref
+            bid = bids[rid]
+            row = rows[rid]
+            bg = bgs[rid]
+            is_write = writes[rid]
+            req = reqs[rid]
+            bank = bank_list[bid]
+            open_row = bank.open_row
+            if open_row == row:
+                n_hit += 1
+            elif open_row is None:
+                n_empty += 1
+            else:
+                n_conf += 1
+            if observers:
+                self._flush(n_serv, n_hit, n_conf, n_empty, occ_sum, occ_w,
+                            first, last_fin, buffered)
+                n_serv = n_hit = n_conf = n_empty = occ_sum = occ_w = 0
+
+            if open_row == row:
+                req.row_hit = True
+                t_col_min = bank.col_ready
+                if earliest > t_col_min:
+                    t_col_min = earliest
+            else:
+                rank = rank_list[bid // banks_per_rank]
+                if open_row is not None:
+                    t_pre = bank.pre_ready
+                    if earliest > t_pre:
+                        t_pre = earliest
+                    bank.open_row = None
+                    t = t_pre + tRP
+                    if t > bank.act_ready:
+                        bank.act_ready = t
+                    hot.pop(bid, None)
+                    if observers:
+                        fb = fbs[bid]
+                        for obs in observers:
+                            obs("PRE", t_pre, fb, open_row)
+                t_act = bank.act_ready
+                if earliest > t_act:
+                    t_act = earliest
+                # Inline RankState.earliest_act: tRRD spacing plus the tFAW
+                # four-activate window.
+                rank_ready = rank.last_act + (
+                    tRRD_L if bg == rank.last_act_bg else tRRD_S)
+                times = rank.last_act_times
+                if len(times) >= 4:
+                    faw = times[-4] + tFAW
+                    if faw > rank_ready:
+                        rank_ready = faw
+                if rank_ready > t_act:
+                    t_act = rank_ready
+                if rank.ref_done > t_act:
+                    t_act = rank.ref_done
+                # Inline BankState.activate.
+                bank.open_row = row
+                bank.last_act = t_act
+                t = t_act + tRCD
+                if t > bank.col_ready:
+                    bank.col_ready = t
+                t = t_act + tRAS
+                if t > bank.pre_ready:
+                    bank.pre_ready = t
+                t = t_act + tRC
                 if t > bank.act_ready:
                     bank.act_ready = t
-                self._hot.pop(bid, None)
+                # Inline RankState.record_act.
+                rank.last_act = t_act
+                rank.last_act_bg = bg
+                times.append(t_act)
+                if len(times) > 8:
+                    del times[:-4]
+                if not fcfs:
+                    pair = groups.get(row * n_banks + bid)
+                    if pair is not None and (pair[0] or pair[1]):
+                        hot[bid] = pair
+                    else:
+                        hot.pop(bid, None)
                 if observers:
-                    fb = self._fb[bid]
+                    fb = fbs[bid]
                     for obs in observers:
-                        obs("PRE", t_pre, fb, old_row)
+                        obs("ACT", t_act, fb, row)
+                t_col_min = bank.col_ready
+
+            # Inline ChannelBusState.earliest_col / record_col.
+            t_col = last_col + (tCCD_L if bg == last_col_bg else tCCD_S)
+            if last_was_write != is_write:
+                turn = last_col + tCCD_L
+                if turn > t_col:
+                    t_col = turn
+            latency = tCWL if is_write else tCL
+            free = data_free - latency
+            if free > t_col:
+                t_col = free
+            if t_col_min > t_col:
+                t_col = t_col_min
+            last_col = t_col
+            last_col_bg = bg
+            last_was_write = is_write
+            data_free = t_col + latency + tBL
+            if observers:
+                fb = fbs[bid]
+                kind = "WR" if is_write else "RD"
+                for obs in observers:
+                    obs(kind, t_col, fb, row)
+            if is_write:
+                t = t_col + tCWL + tBL + tWR
+                if t > bank.pre_ready:
+                    bank.pre_ready = t
+                finish = t_col + tCWL + tBL
             else:
-                counters["row_empty"] += 1
-            t_act = bank.act_ready
-            if earliest > t_act:
-                t_act = earliest
-            # Inline RankState.earliest_act: tRRD spacing plus the tFAW
-            # four-activate window.
-            spacing = (self._tRRD_L if bg == rank.last_act_bg
-                       else self._tRRD_S)
-            rank_ready = rank.last_act + spacing
-            times = rank.last_act_times
-            if len(times) >= 4:
-                faw = times[-4] + self._tFAW
-                if faw > rank_ready:
-                    rank_ready = faw
-            if rank_ready > t_act:
-                t_act = rank_ready
-            if rank.ref_done > t_act:
-                t_act = rank.ref_done
-            # Inline BankState.activate.
-            bank.open_row = row
-            bank.last_act = t_act
-            t = t_act + self._tRCD
-            if t > bank.col_ready:
-                bank.col_ready = t
-            t = t_act + self._tRAS
-            if t > bank.pre_ready:
-                bank.pre_ready = t
-            t = t_act + self._tRC
-            if t > bank.act_ready:
-                bank.act_ready = t
-            # Inline RankState.record_act.
-            rank.last_act = t_act
-            rank.last_act_bg = bg
-            times.append(t_act)
-            if len(times) > 8:
-                del times[:-4]
-            if not self._fcfs:
-                rows_map = self._groups.get(bid)
-                pair = rows_map.get(row) if rows_map is not None else None
-                if pair is not None and (pair[0] or pair[1]):
-                    self._hot[bid] = pair
+                t = t_col + tRTP
+                if t > bank.pre_ready:
+                    bank.pre_ready = t
+                finish = t_col + tCL + tBL
+            req.start = t_col
+            if req.far:
+                # Far-memory tier: route the completion through the shared
+                # link's return path (same call site in both engines, so
+                # the link state evolves identically — the bitwise
+                # guarantee).
+                remote = self.remote
+                if remote is not None:
+                    finish = remote.deliver(finish, is_write)
+            req.finish = finish
+            if closed:
+                # Auto-precharge (RDA/WRA): close the row as soon as legal.
+                t_pre = bank.pre_ready
+                bank.open_row = None
+                t = t_pre + tRP
+                if t > bank.act_ready:
+                    bank.act_ready = t
+                hot.pop(bid, None)
+                if observers:
+                    fb = fbs[bid]
+                    for obs in observers:
+                        obs("PRE", t_pre, fb, row)
+
+            dt = t_col - occ_t
+            if dt > 0:
+                occ_sum += buffered * dt
+                occ_w += dt
+                occ_t = t_col
+            if t_col > now:
+                now = t_col
+            n_serv += 1
+            tenant = req.tenant
+            if tenant >= 0:
+                # Per-tenant accounting, mirroring the scalar oracle.
+                counters = self.stats.counters
+                counters[f"tenant{tenant}_serviced"] += 1
+                counters[f"tenant{tenant}_bytes"] += self._line_bytes
+                if req.row_hit:
+                    counters[f"tenant{tenant}_row_hits"] += 1
+            if arrival < first:
+                first = arrival
+            if finish > last_fin:
+                last_fin = finish
+            reqs[rid] = None
+            served += 1
+            if served == limit:
+                break
+            if bound is not None:
+                # Stop once the next schedulable cycle passes ``bound``.
+                if buffered:
+                    if now > bound:
+                        break
+                elif not queue:
+                    break
                 else:
-                    self._hot.pop(bid, None)
-            if observers:
-                fb = self._fb[bid]
-                for obs in observers:
-                    obs("ACT", t_act, fb, row)
-            t_col_min = bank.col_ready
+                    head = arr[queue[0]]
+                    if (head if head > now else now) > bound:
+                        break
 
-        # Inline ChannelBusState.earliest_col / record_col.
-        bus = self.bus
-        spacing = self._tCCD_L if bg == bus.last_col_bg else self._tCCD_S
-        t_col = bus.last_col + spacing
-        if bus.last_was_write != is_write:
-            turn = bus.last_col + self._tCCD_L
-            if turn > t_col:
-                t_col = turn
-        latency = self._tCWL if is_write else self._tCL
-        free = bus.data_free - latency
-        if free > t_col:
-            t_col = free
-        if t_col_min > t_col:
-            t_col = t_col_min
-        bus.last_col = t_col
-        bus.last_col_bg = bg
-        bus.last_was_write = is_write
-        bus.data_free = t_col + latency + self._tBL
-        if observers:
-            fb = self._fb[bid]
-            kind = "WR" if is_write else "RD"
-            for obs in observers:
-                obs(kind, t_col, fb, row)
-        if is_write:
-            t = t_col + self._tCWL + self._tBL + self._tWR
-            if t > bank.pre_ready:
-                bank.pre_ready = t
-            req.finish = t_col + self._tCWL + self._tBL
-        else:
-            t = t_col + self._tRTP
-            if t > bank.pre_ready:
-                bank.pre_ready = t
-            req.finish = t_col + self._tCL + self._tBL
-        req.start = t_col
-        if req.far:
-            # Far-memory tier: route the completion through the shared
-            # link's return path (same call site in both engines, so the
-            # link state evolves identically — the bitwise guarantee).
-            remote = self.remote
-            if remote is not None:
-                req.finish = remote.deliver(req.finish, is_write)
-        if self._closed_page:
-            # Auto-precharge (RDA/WRA): close the row as soon as legal.
-            t_pre = bank.pre_ready
-            bank.open_row = None
-            t = t_pre + self._tRP
-            if t > bank.act_ready:
-                bank.act_ready = t
-            self._hot.pop(bid, None)
-            if observers:
-                fb = self._fb[bid]
-                for obs in observers:
-                    obs("PRE", t_pre, fb, row)
+        bus.last_col = last_col
+        bus.last_col_bg = last_col_bg
+        bus.last_was_write = last_was_write
+        bus.data_free = data_free
+        self.time = now
+        self._dead = dead
+        self._last_occ_time = occ_t
+        # ``_flush`` inlined: most calls service a single request.
+        self._buffered = buffered
+        stats = self.stats
+        counters = stats.counters
+        if n_serv:
+            counters["serviced"] += n_serv
+            counters["bytes"] += n_serv * self._line_bytes
+        if n_hit:
+            counters["row_hits"] += n_hit
+        if n_conf:
+            counters["row_conflicts"] += n_conf
+        if n_empty:
+            counters["row_empty"] += n_empty
+        if occ_w:
+            stats._wsum["occupancy"] += occ_sum
+            stats._wweight["occupancy"] += occ_w
+        if served:
+            mins = stats.mins
+            cur = mins.get("first_arrival")
+            if cur is None or first < cur:
+                mins["first_arrival"] = first
+            maxs = stats.maxs
+            cur = maxs.get("last_finish")
+            if cur is None or last_fin > cur:
+                maxs["last_finish"] = last_fin
+        if stranded:
+            raise RuntimeError("request never enqueued on this channel")
+        return req if served else None
 
-        dt = t_col - self._last_occ_time
-        if dt > 0:
-            # ``stats.observe("occupancy", ...)`` inlined: same float ops,
-            # same accumulators.
-            stats._wsum["occupancy"] += self._buffered * dt
-            stats._wweight["occupancy"] += dt
-            self._last_occ_time = t_col
-        if t_col > self.time:
-            self.time = t_col
-        counters["serviced"] += 1
-        counters["bytes"] += self._line_bytes
-        tenant = req.tenant
-        if tenant >= 0:
-            # Per-tenant accounting, mirroring the scalar oracle exactly.
-            counters[f"tenant{tenant}_serviced"] += 1
-            counters[f"tenant{tenant}_bytes"] += self._line_bytes
-            if req.row_hit:
-                counters[f"tenant{tenant}_row_hits"] += 1
-        mins = stats.mins
-        cur = mins.get("first_arrival")
-        if cur is None or arrival < cur:
-            mins["first_arrival"] = arrival
-        maxs = stats.maxs
-        cur = maxs.get("last_finish")
-        if cur is None or req.finish > cur:
-            maxs["last_finish"] = req.finish
-        self._req[rid] = None
-        return req
+    def service_one(self) -> DRAMRequest | None:
+        """Schedule and complete one request; returns it, or None if idle
+        (the one-request form of the service kernel)."""
+        return self._service(None, 1)
 
-    def service_until_done(self, req: DRAMRequest) -> None:
-        while req.finish < 0:
-            if self.service_one() is None:
-                raise RuntimeError("request never enqueued on this channel")
+    #: ``service_until_done(req)`` is the kernel itself with ``target=req``
+    #: (one call per completed line on the segment path, not two).
+    service_until_done = _service
 
-    def drain(self) -> None:
-        while self.service_one() is not None:
-            pass
+    def drain(self, bound: int | None = None) -> None:
+        """Service until idle or, with ``bound``, until the channel's next
+        schedulable cycle lies beyond ``bound``."""
+        self._service(None, 0, bound)
 
     # ------------------------------------------------------------- metrics
 

@@ -142,6 +142,17 @@ class MemoryController:
         """
         self.enqueue_coord(req, self.mapper.map(req.addr))
 
+    def enqueue_run(self, reqs: list[DRAMRequest], coords: object,
+                    is_write: bool) -> None:
+        """Accept a run of requests in order (segment handoff).
+
+        Like :meth:`enqueue_decoded`, the oracle ignores the callers'
+        decode (``coords``) and enqueues each request on its own.
+        """
+        mapper = self.mapper
+        for req in reqs:
+            self.enqueue_coord(req, mapper.map(req.addr))
+
     @property
     def pending(self) -> int:
         return len(self.buffer) + len(self.input_queue)
@@ -203,9 +214,14 @@ class MemoryController:
             if self.service_one() is None:
                 raise RuntimeError("request never enqueued on this channel")
 
-    def drain(self) -> None:
+    def drain(self, bound: int | None = None) -> None:
+        """Service until idle or, with ``bound``, until the channel's next
+        schedulable cycle lies beyond ``bound``."""
         while self.service_one() is not None:
-            pass
+            if bound is not None:
+                t = self.next_event()
+                if t is None or t > bound:
+                    return
 
     # ------------------------------------------------------------- execution
 

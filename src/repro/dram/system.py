@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 
+import numpy as np
+
 from repro.common.config import CYCLE_NS, DRAMConfig
 from repro.common.stats import Stats
 from repro.common.types import DRAMRequest
@@ -124,6 +126,83 @@ class DRAMSystem:
             self.controllers[channel].service_until_done(req)
         return req.finish
 
+    # ------------------------------------------------------ segment handoff
+
+    def access_lines(self, lines: list[int], decoded_fields: np.ndarray,
+                     arrivals: list[int], is_write: bool,
+                     tenant: int = -1) -> list[DRAMRequest]:
+        """Enqueue a run of line requests in one call; returns their
+        records in line order.
+
+        ``decoded_fields`` holds each line's ``(channel, rank, bankgroup,
+        bank, row)`` (one row per line, from
+        :meth:`AddressMapper.map_arrays`).  Equivalent to :meth:`access`
+        per line, in order: far lines still traverse the link one by one in
+        line order (the outbound cursor is shared), then each channel takes
+        its share of the run in one :meth:`enqueue_run`.
+        """
+        coords = np.asarray(decoded_fields)
+        chans = coords[:, 0]
+        reqs = [DRAMRequest(line, is_write, arrival, None, channel, tenant)
+                for line, arrival, channel
+                in zip(lines, arrivals, chans.tolist())]
+        remote = self.remote
+        if remote is not None:
+            is_far = remote.is_far
+            inject = remote.inject
+            for req in reqs:
+                if is_far(req.addr):
+                    req.far = True
+                    req.arrival = inject(req.arrival, is_write)
+        for channel, ctrl in enumerate(self.controllers):
+            idx = np.flatnonzero(chans == channel)
+            if len(idx):
+                ctrl.enqueue_run([reqs[i] for i in idx.tolist()],
+                                 coords[idx], is_write)
+        return reqs
+
+    def complete_lines(self, requests: list[DRAMRequest], writeback: bool,
+                       decoded: list, tenant: int = -1
+                       ) -> tuple[int, int, int]:
+        """Complete a run of line reads in order, each followed (with
+        ``writeback``) by its line's write at ``completion + 1``.
+
+        The same global order as :meth:`complete` then :meth:`access` per
+        line — cross-channel order matters because the far link's return
+        and outbound state are shared.  ``decoded[j]`` is line ``j``'s
+        ``(channel, rank, bankgroup, bank, row)``.  Returns ``(finish,
+        wb_lo, wb_hi)``: the latest completion, counting writeback
+        arrivals, and the first/last writeback arrival (-1 without
+        writeback).
+        """
+        controllers = self.controllers
+        remote = self.remote
+        finish = wb_lo = wb_hi = -1
+        for req, coord in zip(requests, decoded):
+            completion = req.finish
+            if completion < 0:
+                controllers[req.channel].service_until_done(req)
+                completion = req.finish
+            if writeback:
+                addr = req.addr
+                arrival = completion + 1
+                wr = DRAMRequest(addr, True, arrival, None, req.channel,
+                                 tenant)
+                if remote is not None and remote.is_far(addr):
+                    wr.far = True
+                    wr.arrival = arrival = remote.inject(arrival, True)
+                controllers[req.channel].enqueue_decoded(
+                    wr, coord[1], coord[2], coord[3], coord[4])
+                if wb_lo < 0 or arrival < wb_lo:
+                    wb_lo = arrival
+                if arrival > wb_hi:
+                    wb_hi = arrival
+                if arrival > completion:
+                    completion = arrival
+            if completion > finish:
+                finish = completion
+        return finish, wb_lo, wb_hi
+
     def drain(self) -> None:
         """Service every channel to completion.
 
@@ -147,16 +226,10 @@ class DRAMSystem:
         while heap:
             _, index = heappop(heap)
             ctrl = controllers[index]
-            bound = heap[0][0] if heap else None
-            while True:
-                if ctrl.service_one() is None:
-                    break
-                t = ctrl.next_event()
-                if t is None:
-                    break
-                if bound is not None and t > bound:
-                    heappush(heap, (t, index))
-                    break
+            ctrl.drain(heap[0][0] if heap else None)
+            t = ctrl.next_event()
+            if t is not None:
+                heappush(heap, (t, index))
 
     # ------------------------------------------------------------- metrics
 

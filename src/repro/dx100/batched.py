@@ -11,10 +11,18 @@ The accelerator half of the ``SystemConfig.frontend = "batched"`` split:
   one vectorized pass (:func:`repro.dx100.row_table.plan_fill`) instead of
   one insert per element: the plan gives each segment between capacity
   drains as arrays of unique lines in drain order, their coordinates and
-  word counts.  The request and response stages walk those arrays.  The
-  Word Table is dropped entirely: the only thing the scalar response stage
-  reads from its linked list is the chain *length*, which the plan carries
-  as the segment's word count.
+  word counts.  The request and response stages walk those arrays a
+  segment at a time.  One
+  :meth:`~repro.cache.batched.BatchedHierarchy.snoop_lines` call gives the
+  segment's H bits.  Each run of direct lines between H-bit lines goes to
+  the DRAM engine in one :meth:`~repro.dram.system.DRAMSystem.access_lines`
+  call and completes, with its writebacks, in one
+  :meth:`~repro.dram.system.DRAMSystem.complete_lines` call.  H-bit lines
+  keep their per-line LLC access in drain order, since an LLC miss there
+  enqueues a DRAM read between the runs.  The Word Table is dropped
+  entirely: the only thing the scalar response stage reads from its
+  linked list is the chain *length*, which the plan carries as the
+  segment's word count.
 
 Both units share the scalar classes' request stage and functional (numpy)
 execution; the differential suites run the same tiles through both
@@ -29,7 +37,7 @@ from repro.common.types import AluOp, DType
 from repro.dx100.alu import RMW_UFUNCS
 from repro.dx100.indirect_unit import (RESPONSE_LATENCY, IndirectResult,
                                        IndirectUnit)
-from repro.dx100.row_table import plan_fill
+from repro.dx100.row_table import FillSegment, plan_fill
 from repro.dx100.stream_unit import StreamUnit
 
 
@@ -91,20 +99,11 @@ class BatchedIndirectUnit(IndirectUnit):
 
         # Request stage: each segment's H bits are snooped just before its
         # requests issue, after the previous segment's drain.
-        lines: list[int] = []
-        decoded: list[tuple] = []
-        h_bits: list[bool] = []
-        accesses: list = []
-        served = 0
+        pending: list[tuple] = []
+        unique = served = 0
         for seg, t_drain in zip(segments, drain_times):
-            seg_lines = seg.lines.tolist()
-            seg_decoded = list(zip(*seg.coords.T.tolist()))
-            seg_h = list(map(self.hierarchy.snoop, seg_lines))
-            accesses += self._issue(seg_lines, seg_decoded, seg_h, seg.units,
-                                    t_drain, kind, tile)
-            lines += seg_lines
-            decoded += seg_decoded
-            h_bits += seg_h
+            pending += self._issue_segment(seg, t_drain, kind, tile)
+            unique += len(seg.lines)
             served += int(seg.words.sum())
         drains = max(1, len(segments))
         fill_cursor = drain_times[-1]
@@ -113,28 +112,28 @@ class BatchedIndirectUnit(IndirectUnit):
                                 lines=int(iters.size))
 
         # ------------------------------------------------------- response
+        # Drain order: each run of direct lines completes in one
+        # DRAMSystem.complete_lines call, each H-bit line on its own.
         finish = fill_cursor
         wb_lo = wb_hi = -1
         wb_lines = 0
         writes = kind in ("st", "rmw")
         dram = self.dram
-        for j, access in enumerate(accesses):
-            # H-bit lines hold an LLC AccessResult, the rest a DRAM request.
-            if h_bits[j]:
+        tenant = self.tenant
+        for access, decoded in pending:
+            if decoded is None:
                 completion = access.resolve(dram)
             else:
-                completion = dram.complete(access)
+                completion, lo, hi = dram.complete_lines(access, writes,
+                                                         decoded, tenant)
                 if writes:
-                    wr = dram.access(lines[j], is_write=True,
-                                     arrival=completion + 1,
-                                     decoded=decoded[j], tenant=self.tenant)
-                    wb_lines += 1
-                    if wb_lo < 0 or wr.arrival < wb_lo:
-                        wb_lo = wr.arrival
-                    if wr.arrival > wb_hi:
-                        wb_hi = wr.arrival
-                    completion = max(completion, wr.arrival)
-            finish = max(finish, completion)
+                    wb_lines += len(access)
+                    if wb_lo < 0 or lo < wb_lo:
+                        wb_lo = lo
+                    if hi > wb_hi:
+                        wb_hi = hi
+            if completion > finish:
+                finish = completion
         if iters.size and served != iters.size:
             raise RuntimeError(
                 f"row table served {served} of {iters.size} elements"
@@ -142,7 +141,7 @@ class BatchedIndirectUnit(IndirectUnit):
         finish += RESPONSE_LATENCY
         if self.obs is not None:
             self.obs.tile_phase(tile, "response", fill_cursor, finish,
-                                lines=len(accesses))
+                                lines=unique)
             if wb_lines:
                 self.obs.tile_phase(tile, "writeback", wb_lo, wb_hi,
                                     lines=wb_lines)
@@ -162,7 +161,6 @@ class BatchedIndirectUnit(IndirectUnit):
                 src = np.asarray(src_values)[iters]
                 self.hostmem.rmw_words(addrs, src, dtype, RMW_UFUNCS[op])
 
-        unique = len(lines)
         self.stats.add(f"i{kind}_elements", iters.size)
         self.stats.add(f"i{kind}_lines", unique)
         self.stats.add("indirect_drains", drains)
@@ -170,6 +168,45 @@ class BatchedIndirectUnit(IndirectUnit):
                               elements=int(iters.size), unique_lines=unique,
                               drains=drains, start=t,
                               busy_until=fill_cursor)
+
+    def _issue_segment(self, seg: FillSegment, t: int, kind: str,
+                       tile: int) -> list[tuple]:
+        """Request stage for one drain segment, ``drain_rate`` lines per
+        cycle from ``t``.
+
+        Each run of direct lines (H bit clear) goes to the DRAM engine in
+        one :meth:`~repro.dram.system.DRAMSystem.access_lines` call.  An
+        H-bit line goes through the Cache Interface on its own, in drain
+        order, because an LLC miss there enqueues a DRAM read between the
+        runs.  Returns the segment's pending responses in drain order:
+        ``(requests, decoded)`` per run, ``(llc_result, None)`` per H-bit
+        line.
+        """
+        lines = seg.lines.tolist()
+        coords = seg.coords
+        decoded = coords.tolist()
+        h_bits = self.hierarchy.snoop_lines(lines)
+        n = len(lines)
+        drain_rate = self.config.drain_rate
+        arrivals = [t + j // drain_rate for j in range(n)]
+        is_write = kind in ("st", "rmw")
+        tenant = self.tenant
+        access_lines = self.dram.access_lines
+        llc_access = self.hierarchy.llc_access
+        out: list[tuple] = []
+        start = 0
+        for j in [j for j, h in enumerate(h_bits) if h] + [n]:
+            if j > start:
+                out.append((access_lines(lines[start:j], coords[start:j],
+                                         arrivals[start:j], False, tenant),
+                            decoded[start:j]))
+            if j < n:
+                out.append((llc_access(lines[j], is_write, arrivals[j],
+                                       decoded=tuple(decoded[j]),
+                                       tenant=tenant), None))
+            start = j + 1
+        self._note_drain(lines, seg.units, t, tile)
+        return out
 
     def _fill_cursor(self, t: int, marks: list[int],
                      index_avail: tuple[int, float] | None) -> list[int]:

@@ -260,8 +260,17 @@ class IndirectUnit:
             else:
                 out.append(dram_access(line, is_write=False, arrival=arrival,
                                        decoded=decoded[j], tenant=tenant))
+        self._note_drain(lines, units, t, tile)
+        return out
+
+    def _note_drain(self, lines: list[int], units: int, t: int,
+                    tile: int) -> None:
+        """Accounting for one issued drain: far-line count and the
+        observability drain span / Row Table fill mark."""
+        if not lines:
+            return
         remote = self.dram.remote
-        if remote is not None and lines:
+        if remote is not None:
             # Far-memory accounting only: counts the drained lines that
             # live behind the link (the batch DX100 pipelines through it
             # while the baseline pays per-miss round trips).  Never alters
@@ -270,8 +279,7 @@ class IndirectUnit:
             if far:
                 self.stats.add("indirect_far_lines", far)
         obs = self.obs
-        if obs is not None and lines:
-            end = t + (len(lines) - 1) // drain_rate + 1
+        if obs is not None:
+            end = t + (len(lines) - 1) // self.config.drain_rate + 1
             obs.tile_phase(tile, "drain", t, end, lines=len(lines))
             obs.rt_fill(t, units, len(lines))
-        return out
