@@ -7,7 +7,7 @@ RUN_REPRO = PYTHONPATH=src $(PYTHON) -m repro
 SWEEP_JOBS = $(if $(JOBS),--jobs $(JOBS),)
 
 .PHONY: install test audit sweep sweep-quick campaign campaign-smoke \
-        golden-check golden-update memtech remote-smoke profile timeline \
+        golden-check golden-update memtech remote-smoke timeline \
         trace-smoke bench bench-quick figures examples clean
 
 install:
@@ -23,7 +23,7 @@ audit:
 	$(RUN_REPRO) run --all --quick --audit --configs baseline dmp dx100
 
 # Parallel, content-addressed-cached benchmark x configuration grid
-# (results/sweep.json + BENCH_mainsweep.json).  JOBS=N to pin workers.
+# (record: results/sweep.json).  JOBS=N to pin workers.
 sweep:
 	$(RUN_REPRO) sweep $(SWEEP_JOBS)
 
@@ -44,7 +44,7 @@ campaign-smoke:
 	rm -rf results/.campaigns/smoke
 	REPRO_FABRIC_INJECT_FAIL="IS.quick.dx100:1" $(RUN_REPRO) campaign \
 		'benchmarks=IS,CG scale=quick' --id smoke --workers 2 \
-		--no-cache --no-bench
+		--no-cache
 	grep -q "retried tasks that eventually succeeded: 1" \
 		results/.campaigns/smoke/summary.md
 	test -z "$$(find results/.campaigns/smoke/queue \
@@ -73,13 +73,6 @@ remote-smoke:
 	$(RUN_REPRO) run IS --quick --dram cxl --configs baseline dx100
 	$(RUN_REPRO) golden check memtech
 	$(RUN_REPRO) golden check --scalar memtech
-
-# Where does the wall-clock go?  cProfile hotspots + per-component
-# attribution + stage timers for one run (PROFILE_ARGS to customize, e.g.
-# PROFILE_ARGS="PR --mode dx100 --json results/profile.json").
-PROFILE_ARGS ?= IS --quick
-profile:
-	$(RUN_REPRO) profile $(PROFILE_ARGS)
 
 # Observability: ASCII timeline of one run (TIMELINE_ARGS to customize,
 # e.g. TIMELINE_ARGS="PR --mode baseline --sample-every 500").
@@ -114,5 +107,5 @@ examples:
 	$(PYTHON) examples/mesh_gradient.py
 
 clean:
-	rm -rf results .pytest_cache .benchmarks BENCH_mainsweep.json
+	rm -rf results .pytest_cache .benchmarks
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -8,8 +8,7 @@ The heavy lifting lives in :mod:`repro.sim.sweep`: runs fan out over
 ``multiprocessing`` workers and land in a content-addressed on-disk cache
 (``results/.runcache``), so an unchanged model re-runs nothing and every
 figure bench inherits parallelism and caching for free.  Each sweep also
-writes ``results/sweep.json`` and the ``BENCH_mainsweep.json``
-perf-trajectory record.
+writes its record, ``results/sweep.json``.
 
 Environment knobs:
 

@@ -117,17 +117,6 @@ def _parser() -> argparse.ArgumentParser:
                        help="memory technology preset for every task "
                             "(default: ddr4; cxl puts the pool behind the "
                             "modeled far-memory link)")
-    sweep.add_argument("--profile", action="store_true",
-                       help="after the timed sweep, re-run the grid once "
-                            "under cProfile and record per-component and "
-                            "pipeline-stage tottimes in "
-                            "BENCH_mainsweep.json (the recorded wall_s "
-                            "stays un-instrumented)")
-    sweep.add_argument("--affinity", action="store_true",
-                       help="group cache misses by workload and reuse each "
-                            "dataset's generate stage across modes (the "
-                            "campaign fabric's executor; results are "
-                            "bitwise identical)")
 
     campaign = sub.add_parser(
         "campaign",
@@ -168,9 +157,6 @@ def _parser() -> argparse.ArgumentParser:
     campaign.add_argument("--dry-run", action="store_true",
                           help="expand and print the task grid, then exit "
                                "without creating a campaign")
-    campaign.add_argument("--no-bench", action="store_true",
-                          help="don't merge the campaign stats into "
-                               "BENCH_mainsweep.json (smoke/CI runs)")
 
     timeline = sub.add_parser(
         "timeline",
@@ -196,22 +182,6 @@ def _parser() -> argparse.ArgumentParser:
                           help="sparkline width in characters (default: 72)")
     timeline.add_argument("--trace", metavar="PATH",
                           help="also write the Chrome trace-event JSON")
-
-    prof = sub.add_parser(
-        "profile",
-        help="profile one benchmark run: cProfile hotspots, per-component "
-             "attribution, and coarse stage timers",
-    )
-    prof.add_argument("benchmark", nargs="?", default="IS",
-                      help="benchmark name (default: IS)")
-    prof.add_argument("--mode", default="baseline",
-                      choices=sorted(CONFIG_BUILDERS))
-    prof.add_argument("--quick", action="store_true",
-                      help="use the reduced dataset sizes")
-    prof.add_argument("--top", type=int, default=25,
-                      help="hotspot functions to report (default: 25)")
-    prof.add_argument("--json", metavar="PATH",
-                      help="also write the structured report as JSON")
 
     serve = sub.add_parser(
         "serve",
@@ -413,27 +383,16 @@ def cmd_sweep(args) -> int:
         print(f"pruned {removed} stale cache entr"
               f"{'y' if removed == 1 else 'ies'}", file=sys.stderr)
 
-    benchmarks = args.benchmarks or None
-    modes = tuple(args.configs)
     try:
         outcome = run_main_sweep(
-            quick=args.quick, benchmarks=benchmarks, modes=modes,
+            quick=args.quick, benchmarks=args.benchmarks or None,
+            modes=tuple(args.configs),
             jobs=args.jobs, cache=not args.no_cache,
             cache_dir=args.cache_dir, sample_every=args.sample_every,
-            dram=args.dram, affinity=args.affinity,
-        )
+            dram=args.dram)
     except ValueError as exc:   # e.g. a bad REPRO_JOBS value
         print(exc, file=sys.stderr)
         return 2
-    if args.profile:
-        # Instrumented second pass, strictly serial, AFTER the timed sweep
-        # so the recorded wall_s stays un-instrumented.
-        from repro.sim.profile import profile_tasks
-        from repro.sim.sweep import main_sweep_tasks
-        print("profiling pass (serial, instrumented)...", file=sys.stderr)
-        tasks = main_sweep_tasks(quick=args.quick, benchmarks=benchmarks,
-                                 modes=modes, dram=args.dram)
-        outcome.extras.update(profile_tasks(tasks))
     write_sweep_records(outcome, Path("results"), sweep_json=args.json)
 
     print(comparison_table(outcome.nested()))
@@ -442,20 +401,18 @@ def cmd_sweep(args) -> int:
           f"({outcome.jobs} job(s)): {outcome.cache_hits} cached, "
           f"{outcome.cache_misses} simulated "
           f"({fresh_wall:.1f}s of simulation)")
-    print(f"sweep record: {args.json or 'results/sweep.json'}; "
-          f"perf trajectory: BENCH_mainsweep.json")
+    print(f"sweep record: {args.json or 'results/sweep.json'}")
     return 0
 
 
 def cmd_campaign(args) -> int:
     """Create or resume a campaign and drive it to completion."""
     import time as _time
-    from pathlib import Path
 
     from repro.obs.events import EventBus
     from repro.sim.fabric import (
         RetryPolicy, build_tasks, campaign_dir, campaign_status,
-        create_campaign, merge_bench_record, run_campaign,
+        create_campaign, run_campaign,
     )
     from repro.sim.specs import SpecError
 
@@ -516,8 +473,6 @@ def cmd_campaign(args) -> int:
     summary = run_campaign(path, workers=args.workers,
                            cache=not args.no_cache,
                            cache_dir=args.cache_dir, bus=bus)
-    if not args.no_bench:
-        merge_bench_record(summary, Path("BENCH_mainsweep.json"))
 
     print(f"\ncampaign {summary['id']}: {summary['done']}/{summary['total']} "
           f"done, {summary['failed']} failed "
@@ -526,27 +481,6 @@ def cmd_campaign(args) -> int:
           f"{summary.get('wall_s', 0.0)}s wall)")
     print(f"report: {path / 'summary.md'}")
     return 1 if summary["failed"] else 0
-
-
-def cmd_profile(args) -> int:
-    """Profile one benchmark run and report where the wall-clock goes."""
-    from repro.sim.profile import format_report, profile_run
-
-    try:
-        report = profile_run(benchmark=args.benchmark, mode=args.mode,
-                             quick=args.quick, top=args.top)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    print(format_report(report))
-    if args.json:
-        import json
-        from pathlib import Path
-        path = Path(args.json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        print(f"\nstructured report written to {path}")
-    return 0
 
 
 def cmd_timeline(args) -> int:
@@ -665,8 +599,6 @@ def main(argv=None) -> int:
         return cmd_sweep(args)
     if args.command == "campaign":
         return cmd_campaign(args)
-    if args.command == "profile":
-        return cmd_profile(args)
     if args.command == "timeline":
         return cmd_timeline(args)
     if args.command == "serve":

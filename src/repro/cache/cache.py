@@ -34,10 +34,6 @@ class Cache:
         self._num_sets = config.sets
         self._ways = config.ways
 
-    def _locate(self, addr: int) -> tuple[OrderedDict[int, bool], int]:
-        line = addr >> self._line_shift
-        return self._sets[line % self._num_sets], line
-
     def lookup(self, addr: int, update_lru: bool = True) -> bool:
         """True if the line holding ``addr`` is resident."""
         line = addr >> self._line_shift

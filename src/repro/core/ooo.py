@@ -198,10 +198,6 @@ class CoreModel:
             if refill > self._fetch_time:
                 self._fetch_time = refill
 
-    def _window_span_cycles(self) -> float:
-        # Time the remaining window contents take to refill the frontend.
-        return self._rob_used / self.config.width
-
     def _dep_ready(self, op: MemOp) -> int:
         ready = 0
         for dep_idx in op.deps:

@@ -1,10 +1,11 @@
 """Time-resolved observability for the simulated system (``repro.obs``).
 
-PR 4's profiling harness answers "where does the *simulator* spend wall
-clock"; this package answers "what is the *simulated system* doing over
-simulated time" — the view the paper uses to explain DX100 mechanistically
-(row-buffer hits collapsing when a tile drains, banks idling under
-inter-core interference, request buffers filling and draining).
+The repo benchmark (``perfbench/``) answers "where does the *simulator*
+spend wall clock"; this package answers "what is the *simulated system*
+doing over simulated time" — the view the paper uses to explain DX100
+mechanistically (row-buffer hits collapsing when a tile drains, banks
+idling under inter-core interference, request buffers filling and
+draining).
 
 Three pieces, all off by default and near-zero-overhead when off:
 

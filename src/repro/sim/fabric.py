@@ -44,7 +44,9 @@ the dataset after its first ``generate`` and restores it into each
 subsequent run's memory instead of regenerating — bitwise identical by
 construction (deterministic seeds + bump-pointer allocation; pinned by
 ``tests/sim/test_fabric.py``), and measurably faster cold
-(``BENCH_mainsweep.json`` records the A/B).
+(EXPERIMENTS.md "Workload affinity" records the A/B).  This is the only
+executor that reuses datasets: ``python -m repro sweep`` generates every
+run's dataset afresh.
 
 Progress streams through the :mod:`repro.obs` event bus: the monitor
 publishes ``campaign_progress`` marks (pending/active/done/failed,
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import copy
 import json
-import multiprocessing
 import os
 import socket
 import threading
@@ -72,8 +73,8 @@ from repro.sim.specs import (
     sweep_task_from_dict, sweep_task_to_dict,
 )
 from repro.sim.sweep import (
-    RunCache, SweepTask, execute_task, model_version, result_to_dict,
-    workload_fingerprint,
+    RunCache, SweepTask, _pool_context, execute_task, model_version,
+    result_to_dict, workload_fingerprint,
 )
 
 FABRIC_SCHEMA = 1
@@ -812,9 +813,7 @@ def run_campaign(path: str | Path, workers: int = 1,
                     progress=(lambda record: publish(campaign_status(path)))
                     if bus is not None else None)
     else:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else "spawn")
+        ctx = _pool_context()
         procs = [
             ctx.Process(target=_worker_entry,
                         args=(str(path), f"w{i}", cache,
@@ -961,81 +960,3 @@ def render_summary(campaign: Campaign, summary: dict,
             lines.append(f"- `{r['tid']}`: {r.get('error', '?')} "
                          f"(after {r.get('retries', 0)} retries)")
     return "\n".join(lines) + "\n"
-
-
-def merge_bench_record(summary: dict[str, Any],
-                       bench_path: str | Path = "BENCH_mainsweep.json",
-                       ) -> None:
-    """Fold a campaign summary into the perf-trajectory record under the
-    ``campaign`` key (read-modify-write; the sweep's own record fields are
-    left untouched)."""
-    bench_path = Path(bench_path)
-    try:
-        record = json.loads(bench_path.read_text())
-    except (FileNotFoundError, json.JSONDecodeError):
-        record = {"bench": "mainsweep"}
-    record["campaign"] = {
-        k: summary[k] for k in
-        ("id", "spec", "total", "done", "failed", "cache_hits",
-         "sim_wall_s", "generate")
-        if k in summary
-    }
-    if "wall_s" in summary:
-        record["campaign"]["wall_s"] = summary["wall_s"]
-    if "workers" in summary:
-        record["campaign"]["workers"] = summary["workers"]
-    bench_path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-
-
-# ----------------------------------------------- sweep-executor delegation
-
-def run_grouped(indexed_tasks: list[tuple[int, SweepTask]], jobs: int,
-                ) -> list[tuple[int, RunResult, float]]:
-    """Execute (index, task) pairs with workload-affinity grouping and
-    generate-stage reuse — the in-process twin of the campaign workers
-    that ``run_sweep(affinity=True)`` delegates to.
-
-    Tasks are bucketed by dataset (benchmark + scale); ``jobs=1`` runs
-    every bucket serially through one :class:`GenerateCache`, and a pool
-    maps whole buckets to workers so reuse never crosses a process
-    boundary.  Results are keyed by the caller's indices, so task order —
-    and therefore every metric — is bitwise identical to the ungrouped
-    path.
-    """
-    groups: dict[str, list[tuple[int, SweepTask]]] = {}
-    for index, task in indexed_tasks:
-        label = f"{task.benchmark}.{'quick' if task.quick else 'main'}"
-        groups.setdefault(label, []).append((index, task))
-    buckets = list(groups.values())
-    if jobs == 1 or len(buckets) == 1:
-        out = []
-        for bucket in buckets:
-            out.extend(_grouped_bucket(bucket))
-        return out
-    ctx = multiprocessing.get_context(
-        "fork" if "fork" in multiprocessing.get_all_start_methods()
-        else "spawn")
-    with ctx.Pool(processes=min(jobs, len(buckets))) as pool:
-        chunks = pool.map(_grouped_bucket, buckets)
-    return [item for chunk in chunks for item in chunk]
-
-
-def _grouped_bucket(bucket: list[tuple[int, SweepTask]],
-                    ) -> list[tuple[int, RunResult, float]]:
-    """One dataset's tasks through one GenerateCache, with the cyclic GC
-    off for the whole bucket (same rationale as the campaign worker)."""
-    import gc
-    gen = GenerateCache()
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    gc.collect()
-    gc.freeze()
-    try:
-        return [(index, *execute_task(task, workload=gen.prepared(task)))
-                for index, task in bucket]
-    finally:
-        gc.unfreeze()
-        if gc_was_enabled:
-            gc.enable()
-        gc.collect()

@@ -37,7 +37,7 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
 
     ``timers`` (see :mod:`repro.sim.profile`) attributes wall-clock to the
     run's coarse stages — generate, warm, simulate, collect — for the
-    profiling harness; the default null timer adds no overhead.  ``obs``
+    repo benchmark; the default null timer adds no overhead.  ``obs``
     is an optional :class:`repro.obs.events.EventBus`; its summary lands
     in ``RunResult.extra`` (never in the golden metric fields).
     ``tenant`` (>= 0) tags every DRAM request for per-tenant accounting;
@@ -118,7 +118,7 @@ def run_dx100(workload: Workload, config: SystemConfig | None = None,
     ``pipelined=True`` applies :func:`software_pipeline` (double
     buffering); the default keeps the workload's own ordering.
     ``timers`` attributes wall-clock to the coarse stages (generate, warm,
-    preload, schedule, validate, collect) for the profiling harness.
+    preload, schedule, validate, collect) for the repo benchmark.
     ``obs`` is an optional :class:`repro.obs.events.EventBus`; its summary
     lands in ``RunResult.extra`` (never in the golden metric fields).
     ``tenant`` (>= 0) tags every DRAM request for per-tenant accounting

@@ -17,6 +17,8 @@ is bitwise-deterministic: each run builds a fresh workload from the
 registry with its fixed seed, so a parallel sweep returns ``RunResult``
 metrics identical to a serial one (``tests/sim/test_sweep.py`` asserts
 this, and the golden-metrics harness pins the quick suite's numbers).
+Every run generates its own dataset; reusing one dataset's generate stage
+across modes is the campaign fabric's job (:mod:`repro.sim.fabric`).
 
 Entry points:
 
@@ -24,6 +26,9 @@ Entry points:
 * :func:`main_sweep_tasks` / :func:`run_main_sweep` — the Figure 9-12
   benchmark x configuration grid (``benchmarks/mainsweep.py`` delegates
   here, and ``python -m repro sweep`` exposes it on the command line);
+* :func:`write_sweep_records` — the sweep's one record,
+  ``results/sweep.json`` (model version, per-run wall and every
+  ``RunResult``);
 * :func:`golden_snapshot` / :func:`diff_golden` — the quick suite's
   pinned fields (``tests/golden/quick_suite.json``, checked by the
   ``quick`` suite of :mod:`repro.sim.golden`).
@@ -36,11 +41,10 @@ import json
 import multiprocessing
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 from repro.common.config import SystemConfig
-from repro.common.stats import geomean
 from repro.sim.metrics import RunResult
 
 MODES = ("baseline", "dmp", "dx100")
@@ -307,7 +311,6 @@ class SweepOutcome:
     wall: float
     cache_hits: int = 0
     cache_misses: int = 0
-    extras: dict = field(default_factory=dict)
 
     def nested(self) -> dict[str, dict[str, RunResult]]:
         """benchmark -> mode -> RunResult (the mainsweep shape)."""
@@ -319,23 +322,14 @@ class SweepOutcome:
     def wall_by_benchmark(self) -> dict[str, dict[str, float]]:
         """benchmark -> mode -> simulation wall seconds (0.0 = cache hit).
 
-        The per-(workload, config) wall-clock view both JSON records carry,
-        so perf regressions can be pinned to the workload that slowed down
-        rather than inferred from the grid total.
+        The per-(workload, config) wall-clock view the sweep record
+        carries, so perf regressions can be pinned to the workload that
+        slowed down rather than inferred from the grid total.
         """
         out: dict[str, dict[str, float]] = {}
         for run in self.runs:
             out.setdefault(run.task.benchmark, {})[run.task.mode] = round(
                 run.wall, 3)
-        return out
-
-    def speedups(self, over: str = "baseline",
-                 of: str = "dx100") -> dict[str, float]:
-        table = self.nested()
-        out = {}
-        for name, runs in table.items():
-            if over in runs and of in runs:
-                out[name] = runs[of].speedup_over(runs[over])
         return out
 
     # ------------------------------------------------------- serialization
@@ -361,48 +355,6 @@ class SweepOutcome:
                 for r in self.runs
             ],
         }
-
-    def bench_record(self) -> dict:
-        """Perf-trajectory record (``BENCH_mainsweep.json``): wall-clock,
-        cycles, speedups, row-buffer hit rates, DRAM command counts."""
-        speedups = self.speedups()
-        dmp_speedups = self.speedups(of="dmp")
-        runs = []
-        for r in self.runs:
-            res = r.result
-            runs.append({
-                "benchmark": r.task.benchmark,
-                "mode": r.task.mode,
-                "cached": r.cached,
-                "wall_s": round(r.wall, 3),
-                "cycles": res.cycles,
-                "row_buffer_hit_rate": res.row_buffer_hit_rate,
-                "bandwidth_utilization": res.bandwidth_utilization,
-                "dram_requests": res.dram_requests,
-                "dram_commands": {
-                    k: res.extra[k] for k in
-                    ("dram_reads", "dram_writes", "dram_row_hits",
-                     "dram_row_conflicts", "dram_row_empty")
-                    if k in res.extra
-                },
-            })
-        record = {
-            "bench": "mainsweep",
-            "model_version": model_version(),
-            "jobs": self.jobs,
-            "wall_s": round(self.wall, 3),
-            "wall_by_benchmark": self.wall_by_benchmark(),
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "speedups_dx100": {k: round(v, 4) for k, v in speedups.items()},
-            "speedups_dmp": {k: round(v, 4) for k, v in dmp_speedups.items()},
-            "runs": runs,
-        }
-        if speedups:
-            record["geomean_speedup_dx100"] = round(
-                geomean(list(speedups.values())), 4)
-        record.update(self.extras)
-        return record
 
 
 def default_jobs() -> int:
@@ -438,18 +390,12 @@ def _pool_context():
 
 def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
               cache: bool = True,
-              cache_dir: str | Path | None = None,
-              progress=None, affinity: bool = False) -> SweepOutcome:
+              cache_dir: str | Path | None = None) -> SweepOutcome:
     """Execute ``tasks``, fanning cache misses out over worker processes.
 
     ``jobs=None`` uses ``REPRO_JOBS`` or the CPU count; ``jobs=1`` runs
     strictly serially in-process (no pool), which the determinism tests
-    compare against the parallel path.  ``progress`` is an optional
-    ``callable(TaskRun)`` invoked as each task settles.  ``affinity``
-    delegates miss execution to the campaign fabric's workload-affinity
-    executor (:func:`repro.sim.fabric.run_grouped`): tasks sharing a
-    dataset run on one worker with the generate stage snapshotted once
-    and restored per run — bitwise identical results, less cold wall.
+    compare against the parallel path.
     """
     if jobs is not None and jobs < 1:
         raise ValueError(
@@ -472,10 +418,7 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
             misses.append(i)
 
     if misses:
-        if affinity:
-            from repro.sim.fabric import run_grouped
-            fresh = run_grouped([(i, tasks[i]) for i in misses], jobs)
-        elif jobs == 1 or len(misses) == 1:
+        if jobs == 1 or len(misses) == 1:
             fresh = [_worker((i, tasks[i])) for i in misses]
         else:
             ctx = _pool_context()
@@ -488,9 +431,6 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
                 store.store(keys[index], tasks[index], result)
 
     runs = [r for r in settled if r is not None]
-    if progress is not None:
-        for run in runs:
-            progress(run)
     return SweepOutcome(runs=runs, jobs=jobs,
                         wall=time.perf_counter() - t0,
                         cache_hits=hits, cache_misses=len(misses))
@@ -543,47 +483,23 @@ def run_main_sweep(quick: bool = False,
                    modes: tuple[str, ...] = MODES,
                    jobs: int | None = None, cache: bool = True,
                    cache_dir: str | Path | None = None,
-                   results_dir: str | Path | None = None,
                    sample_every: int = 0,
-                   dram: str | None = None,
-                   affinity: bool = False) -> SweepOutcome:
-    """Run the main-evaluation grid and emit the structured JSON records
-    (``results/sweep.json`` + ``BENCH_mainsweep.json``)."""
+                   dram: str | None = None) -> SweepOutcome:
+    """Run the main-evaluation grid; :func:`write_sweep_records` saves it."""
     tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks, modes=modes,
                              sample_every=sample_every, dram=dram)
-    outcome = run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir,
-                        affinity=affinity)
-    outcome.extras["quick"] = quick
-    if results_dir is not None:
-        write_sweep_records(outcome, results_dir)
-    return outcome
+    return run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir)
 
 
 def write_sweep_records(outcome: SweepOutcome,
                         results_dir: str | Path,
                         sweep_json: str | Path | None = None) -> None:
-    """Write ``sweep.json`` into ``results_dir`` and the perf-trajectory
-    record ``BENCH_mainsweep.json`` next to it (one level up when
-    ``results_dir`` is the conventional ``results/``)."""
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    sweep_path = Path(sweep_json) if sweep_json else results_dir / "sweep.json"
-    sweep_path.parent.mkdir(parents=True, exist_ok=True)
-    sweep_path.write_text(json.dumps(outcome.to_json_dict(), indent=2,
-                                     sort_keys=True) + "\n")
-    bench_path = results_dir.parent / "BENCH_mainsweep.json"
-    record = outcome.bench_record()
-    # The campaign fabric folds its own A/B block into this file under
-    # "campaign" (see repro.sim.fabric.merge_bench_record); a plain sweep
-    # re-recording the grid must not erase it.
-    try:
-        previous = json.loads(bench_path.read_text())
-        if "campaign" in previous and "campaign" not in record:
-            record["campaign"] = previous["campaign"]
-    except (FileNotFoundError, json.JSONDecodeError):
-        pass
-    bench_path.write_text(json.dumps(record, indent=2,
-                                     sort_keys=True) + "\n")
+    """Write the sweep record (``to_json_dict``) to ``sweep_json``, or to
+    ``sweep.json`` inside ``results_dir`` by default."""
+    path = Path(sweep_json) if sweep_json else Path(results_dir) / "sweep.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(outcome.to_json_dict(), indent=2,
+                               sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------ quick-suite goldens

@@ -24,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.config import DX100Config
-from repro.core.trace import Trace, TraceBuilder, split_static
+from repro.core.trace import Trace
 from repro.dx100.hostmem import HostMemory
-from repro.dx100.scratchpad import SPD_BASE
 
 
 @dataclass
@@ -49,7 +48,6 @@ PC_EXTRA = 6
 # element, DX100 residual near zero; Section 6.1) and the 3.6x geomean
 # instruction reduction of Figure 11(a).
 BASE_ADDR_CALC = 8     # address arithmetic + loop overhead per element
-SPD_CONSUME_EXTRA = 2  # residual loop overhead per consumed element
 
 
 class Workload(ABC):
@@ -136,22 +134,6 @@ class Workload(ABC):
 
     def _remember(self, mem: HostMemory) -> None:
         self.mem = mem
-
-
-def spd_consume_work(tile: int, count: int, cores: int,
-                     config: DX100Config, extra: int = SPD_CONSUME_EXTRA,
-                     word_bytes: int = 4) -> CoreWork:
-    """Core-side streaming reads of a packed tile, split across cores."""
-    base = SPD_BASE + tile * config.tile_elems * word_bytes
-    parts = split_static(list(range(count)), cores)
-    traces = []
-    for part in parts:
-        tb = TraceBuilder()
-        for i in part:
-            tb.load(base + i * word_bytes, size=word_bytes, extra=extra,
-                    pc=PC_SPD)
-        traces.append(tb.finish())
-    return CoreWork(traces=traces)
 
 
 def chunk_bounds(n: int, tile: int) -> list[tuple[int, int]]:

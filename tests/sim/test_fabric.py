@@ -6,7 +6,6 @@ import json
 import os
 import threading
 import time
-from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -15,11 +14,10 @@ from repro.dx100.hostmem import HostMemory
 from repro.sim.fabric import (
     GenerateCache, RetryPolicy, build_tasks, campaign_status, claim_task,
     complete_task, create_campaign, fail_task, load_campaign,
-    merge_bench_record, reclaim_expired, run_campaign, run_grouped,
-    worker_loop,
+    reclaim_expired, run_campaign, worker_loop,
 )
 from repro.sim.sweep import (
-    RunCache, execute_task, main_sweep_tasks, result_to_dict, run_sweep,
+    execute_task, main_sweep_tasks, result_to_dict, run_sweep,
 )
 
 
@@ -310,24 +308,6 @@ def test_no_baseline_traces_implementation_mutates_its_workload():
     assert not offenders, offenders
 
 
-def test_run_grouped_matches_the_ungrouped_executor():
-    """run_sweep(affinity=True) must be a pure perf change: same results,
-    same order, for the same tasks."""
-    tasks = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"],
-                             modes=("baseline", "dx100"))
-    plain = run_sweep(tasks, jobs=1, cache=False)
-    grouped = run_sweep(tasks, jobs=1, cache=False, affinity=True)
-    assert [asdict(r.result) for r in grouped.runs] == \
-        [asdict(r.result) for r in plain.runs]
-
-
-def test_run_grouped_indices_survive_bucketing():
-    tasks = main_sweep_tasks(quick=True, benchmarks=["IS", "CG"],
-                             modes=("baseline",))
-    out = run_grouped(list(enumerate(tasks)), jobs=1)
-    assert sorted(i for i, _, _ in out) == [0, 1]
-
-
 # ------------------------------------------------------------------ reports
 
 def test_summary_md_reports_statuses_and_reuse(tmp_path, monkeypatch):
@@ -341,18 +321,6 @@ def test_summary_md_reports_statuses_and_reuse(tmp_path, monkeypatch):
     assert "| IS.quick.dx100 | sweep | failed |" in text
     assert "## Failures" in text and "injected failure" in text
     assert summary["failed"] == 1 and summary["done"] == 1
-
-
-def test_merge_bench_record_preserves_sweep_fields(tmp_path):
-    bench = tmp_path / "BENCH_mainsweep.json"
-    bench.write_text(json.dumps({"bench": "mainsweep", "wall_s": 9.9}))
-    merge_bench_record({"id": "x", "total": 3, "done": 3, "failed": 0,
-                        "cache_hits": 1, "sim_wall_s": 1.0,
-                        "generate": {"generates": 1, "reuses": 2}},
-                       bench)
-    record = json.loads(bench.read_text())
-    assert record["wall_s"] == 9.9              # sweep's field untouched
-    assert record["campaign"]["generate"]["reuses"] == 2
 
 
 def test_serve_tasks_execute_through_the_fabric(tmp_path):

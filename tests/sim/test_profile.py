@@ -1,65 +1,6 @@
-"""The profiling harness: report schema, stage timers, CLI round-trip."""
+"""Stage timers: accumulation, and the free null stand-in."""
 
-import json
-
-from repro.__main__ import main
-from repro.sim.profile import (
-    NULL_TIMERS, PROFILE_SCHEMA, StageTimers, profile_run,
-)
-
-REQUIRED_KEYS = {
-    "schema", "benchmark", "mode", "quick", "wall_s", "stages_s",
-    "components_s", "hotspots", "result",
-}
-
-
-def _check_report(report):
-    assert REQUIRED_KEYS <= set(report)
-    assert report["schema"] == PROFILE_SCHEMA
-    assert report["wall_s"] > 0
-    # Stage timers are a decomposition of (part of) the run: their sum can
-    # never exceed the profiled wall-clock.
-    assert sum(report["stages_s"].values()) <= report["wall_s"] + 1e-6
-    assert "simulate" in report["stages_s"]
-    # Component attribution must cover the simulator's own packages.
-    assert "dram" in report["components_s"]
-    assert all(v >= 0 for v in report["components_s"].values())
-    for h in report["hotspots"]:
-        assert {"function", "file", "line", "ncalls",
-                "tottime_s", "cumtime_s"} <= set(h)
-    assert report["result"]["cycles"] > 0
-
-
-def test_profile_run_quick_baseline():
-    report = profile_run("IS", mode="baseline", quick=True, top=5)
-    _check_report(report)
-    assert len(report["hotspots"]) <= 5
-    assert report["benchmark"] == "IS"
-    assert report["mode"] == "baseline"
-    assert report["quick"] is True
-
-
-def test_profile_run_dx100_has_offload_stages():
-    report = profile_run("PR", mode="dx100", quick=True, top=3)
-    _check_report(report)
-    assert "preload" in report["stages_s"]
-    assert "validate" in report["stages_s"]
-
-
-def test_profile_cli_emits_valid_json(tmp_path, capsys):
-    out = tmp_path / "profile.json"
-    rc = main(["profile", "IS", "--quick", "--top", "4",
-               "--json", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    _check_report(report)
-    stdout = capsys.readouterr().out
-    assert "hotspots by tottime" in stdout
-
-
-def test_profile_cli_rejects_unknown_benchmark(capsys):
-    assert main(["profile", "NOPE", "--quick"]) == 2
-    assert "NOPE" in capsys.readouterr().err
+from repro.sim.profile import NULL_TIMERS, StageTimers
 
 
 def test_stage_timers_accumulate_and_null_is_free():
