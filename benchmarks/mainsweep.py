@@ -25,7 +25,7 @@ import os
 from pathlib import Path
 
 from repro.sim import RunResult
-from repro.sim.sweep import run_main_sweep, write_sweep_records
+from repro.sim.sweep import main_sweep_tasks, run_sweep, write_sweep_records
 from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -43,10 +43,8 @@ def get_results() -> dict[str, dict[str, RunResult]]:
     """name -> {"baseline": ..., "dmp": ..., "dx100": ...}."""
     global _cache
     if _cache is None:
-        outcome = run_main_sweep(
-            quick=bool(os.environ.get("REPRO_QUICK")),
-            cache=not os.environ.get("REPRO_NO_CACHE"),
-        )
+        tasks = main_sweep_tasks(quick=bool(os.environ.get("REPRO_QUICK")))
+        outcome = run_sweep(tasks, cache=not os.environ.get("REPRO_NO_CACHE"))
         write_sweep_records(outcome, RESULTS_DIR)
         _cache = outcome.nested()
     return _cache

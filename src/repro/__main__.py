@@ -5,6 +5,7 @@ Usage::
     python -m repro list                      # available benchmarks
     python -m repro run IS PR --configs baseline dx100
     python -m repro run --all --quick --csv results/results.csv
+    python -m repro run CG --scale full       # paper scale, dx100 only
     python -m repro sweep --quick --jobs 4    # parallel + cached grid
     python -m repro golden check              # every pinned golden file
     python -m repro golden check --scalar     # same, on the scalar oracles
@@ -16,7 +17,12 @@ Usage::
     python -m repro area                      # Table 4
 
 Each run prints a comparison table; ``--csv`` additionally writes the raw
-metrics, like the artifact's ``results.csv``.
+metrics, like the artifact's ``results.csv``.  ``run``, ``timeline`` and
+``sweep`` build their :class:`~repro.sim.sweep.SweepTask` grid with
+:func:`~repro.sim.sweep.main_sweep_tasks` and run each task through
+:func:`~repro.sim.sweep.execute_task`, so one command line gives the same
+numbers on every path; ``run --scale full`` writes the stamped sweep
+record to ``results/full_scale.json``.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ import argparse
 import sys
 from dataclasses import replace
 
-from repro.common.config import DRAM_PRESETS, dram_preset
+from repro.common.config import DRAM_PRESETS
 from repro.dx100.area import area_power
-from repro.sim import run_baseline, run_dx100
 from repro.sim.golden import SUITES
 from repro.sim.report import comparison_table, to_csv
-from repro.sim.sweep import CONFIG_BUILDERS
-from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
+from repro.sim.sweep import (
+    CONFIG_BUILDERS, SweepOutcome, TaskRun, execute_task, main_sweep_tasks,
+    write_sweep_records,
+)
+from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS, SCALES
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -48,8 +56,9 @@ def _parser() -> argparse.ArgumentParser:
                      help="benchmark names (see `list`)")
     run.add_argument("--all", action="store_true",
                      help="run all 12 benchmarks")
-    run.add_argument("--quick", action="store_true",
-                     help="use the reduced dataset sizes")
+    run.add_argument("--quick", dest="scale", action="store_const",
+                     const="quick", default="main",
+                     help="use the reduced dataset sizes (--scale quick)")
     run.add_argument("--configs", nargs="+", default=None,
                      choices=sorted(CONFIG_BUILDERS),
                      help="configurations to run (default: baseline dx100; "
@@ -61,8 +70,6 @@ def _parser() -> argparse.ArgumentParser:
                           "is violated")
     run.add_argument("--csv", metavar="PATH",
                      help="also write raw metrics as CSV")
-    run.add_argument("--stats-dir", metavar="DIR",
-                     help="write a full gem5-style stats dump per run")
     run.add_argument("--trace", metavar="PATH",
                      help="record a Chrome trace-event JSON (load in "
                           "Perfetto / chrome://tracing); with several runs "
@@ -71,13 +78,12 @@ def _parser() -> argparse.ArgumentParser:
     run.add_argument("--sample-every", type=int, default=0, metavar="N",
                      help="snapshot the timeline samplers every N cycles "
                           "(0 = off; --trace alone defaults to 1000)")
-    run.add_argument("--scale", choices=["main", "quick", "full"],
-                     default=None,
+    run.add_argument("--scale", choices=list(SCALES), default="main",
                      help="dataset scale: main (default), quick (alias for "
                           "--quick), or full — paper-sized footprints far "
                           "past every cache (2^25-key IS etc.); full "
                           "defaults to the dx100 configuration and writes "
-                          "results/full_scale.json")
+                          "the sweep record to results/full_scale.json")
     run.add_argument("--dram", choices=sorted(DRAM_PRESETS), default=None,
                      help="memory technology preset (default: ddr4; cxl "
                           "puts the pool behind the modeled far-memory "
@@ -239,126 +245,71 @@ def cmd_list() -> int:
 
 def cmd_run(args) -> int:
     """Run the selected benchmarks under the selected configurations."""
-    from repro.workloads import FULL_BENCHMARKS
+    from pathlib import Path
+    from time import perf_counter
 
-    scale = args.scale or ("quick" if args.quick else "main")
-    registry = {"main": MAIN_BENCHMARKS, "quick": QUICK_BENCHMARKS,
-                "full": FULL_BENCHMARKS}[scale]
-    configs = args.configs
-    if configs is None:
-        # The full-scale footprints are only tractable offloaded: the
-        # baseline's per-op trace would be tens of millions of ops.
-        configs = ["dx100"] if scale == "full" else ["baseline", "dx100"]
-    names = list(registry) if args.all else args.benchmarks
-    if not names and scale == "full":
+    full = args.scale == "full"
+    # The full-scale footprints are only tractable offloaded: the
+    # baseline's per-op trace would be tens of millions of ops.
+    configs = args.configs or (["dx100"] if full else ["baseline", "dx100"])
+    names = list(SCALES[args.scale]) if args.all else args.benchmarks
+    if not names and full:
         names = ["IS"]
     if not names:
         print("no benchmarks selected (name them or pass --all)",
               file=sys.stderr)
         return 2
-    unknown = [n for n in names if n not in registry]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}"
-              + (f" (at --scale full only {', '.join(registry)} are sized)"
-                 if scale == "full" else ""),
-              file=sys.stderr)
+    sample_every = args.sample_every or (1000 if args.trace else 0)
+    try:
+        tasks = main_sweep_tasks(
+            quick=args.scale == "quick", benchmarks=names,
+            modes=tuple(configs), cores=args.cores, audit=args.audit,
+            sample_every=sample_every, dram=args.dram)
+        if full:
+            tasks = [replace(task, scale="full") for task in tasks]
+    except (KeyError, ValueError) as exc:
+        print(exc.args[0], file=sys.stderr)
         return 2
 
-    sample_every = args.sample_every
-    if args.trace and not sample_every:
-        sample_every = 1000
-    multi = len(names) * len(configs) > 1
+    runs = []
+    t0 = perf_counter()
+    for task in tasks:
+        bus = None
+        if args.trace or sample_every:
+            from repro.obs.events import EventBus
+            bus = EventBus(trace=bool(args.trace), sample_every=sample_every)
+        result, wall = execute_task(task, obs=bus)
+        runs.append(TaskRun(task, result, wall, cached=False, key=""))
+        if args.trace:
+            from repro.obs.trace import write_chrome_trace
+            path = Path(args.trace)
+            if len(tasks) > 1:
+                path = path.with_name(f"{path.stem}-{task.benchmark}-"
+                                      f"{task.mode}{path.suffix}")
+            write_chrome_trace(bus, path)
+            print(f"  trace written to {path}", file=sys.stderr)
+        print(f"  done: {task.benchmark} [{task.mode}]", file=sys.stderr)
+    outcome = SweepOutcome(runs, jobs=1, wall=perf_counter() - t0,
+                           cache_misses=len(runs))
+    results = [run.result for run in runs]
 
-    results: dict[str, dict] = {}
-    flat = []
-    for name in names:
-        runs = {}
-        for config_name in configs:
-            config = CONFIG_BUILDERS[config_name](args.cores)
-            if args.dram is not None:
-                config = replace(config, dram=dram_preset(args.dram))
-            if args.audit:
-                config = replace(config,
-                                 dram=replace(config.dram, audit=True))
-            wl = registry[name]()
-            obs = None
-            if args.trace or sample_every:
-                from repro.obs.events import EventBus
-                obs = EventBus(trace=bool(args.trace),
-                               sample_every=sample_every)
-            if config_name == "dx100":
-                runs[config_name] = run_dx100(wl, config, warm=False,
-                                              obs=obs)
-            else:
-                runs[config_name] = run_baseline(wl, config, warm=False,
-                                                 obs=obs)
-            flat.append(runs[config_name])
-            if args.trace:
-                from pathlib import Path
-                from repro.obs.trace import write_chrome_trace
-                path = Path(args.trace)
-                if multi:
-                    path = path.with_name(
-                        f"{path.stem}-{name}-{config_name}{path.suffix}")
-                write_chrome_trace(obs, path)
-                print(f"  trace written to {path}", file=sys.stderr)
-            print(f"  done: {name} [{config_name}]", file=sys.stderr)
-        results[name] = runs
-    if args.stats_dir:
-        # Per-run stats dumps require re-running with a retained system;
-        # dump one representative system per (benchmark, config) instead.
-        from pathlib import Path
-        from repro.sim.statsdump import write_stats
-        from repro.sim.system import SimSystem
-        out_dir = Path(args.stats_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name in names:
-            config = CONFIG_BUILDERS[configs[0]](args.cores)
-            if args.dram is not None:
-                config = replace(config, dram=dram_preset(args.dram))
-            system = SimSystem(config)
-            wl = registry[name]()
-            wl.generate(system.hostmem)
-            system.multicore.run(wl.baseline_traces(config.cores))
-            system.dram.drain()
-            write_stats(system, out_dir / f"{name}.stats.txt")
-    print(comparison_table(results))
-    if scale == "full":
-        # Record the paper-scale runs alongside the sweep artifacts so the
-        # EXPERIMENTS table can cite committed numbers.
-        import json
-        from pathlib import Path
-        out = Path("results/full_scale.json")
-        out.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "scale": "full",
-            "runs": [
-                {
-                    "workload": r.workload,
-                    "config": r.config,
-                    "cycles": r.cycles,
-                    "instructions": r.instructions,
-                    "dram_bytes": r.dram_bytes,
-                    "dram_requests": r.dram_requests,
-                    "bandwidth_utilization": r.bandwidth_utilization,
-                    "row_buffer_hit_rate": r.row_buffer_hit_rate,
-                    "llc_mpki": r.llc_mpki,
-                }
-                for r in flat
-            ],
-        }
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        print(f"\nfull-scale metrics written to {out}")
+    print(comparison_table(outcome.nested()))
+    if full:
+        # The stamped sweep record (model version, every RunResult field)
+        # beside the sweep artifacts, so EXPERIMENTS can cite it.
+        out = Path("results") / "full_scale.json"
+        write_sweep_records(outcome, out.parent, sweep_json=out)
+        print(f"\nfull-scale record written to {out}")
     if args.csv:
-        to_csv(flat, args.csv)
+        to_csv(results, args.csv)
         print(f"\nraw metrics written to {args.csv}")
     if args.audit:
-        commands = sum(r.extra.get("audit_commands", 0) for r in flat)
-        violations = sum(r.extra.get("audit_violations", 0) for r in flat)
+        commands = sum(r.extra.get("audit_commands", 0) for r in results)
+        violations = sum(r.extra.get("audit_violations", 0) for r in results)
         print(f"\naudit: {int(commands)} DRAM commands checked, "
               f"{int(violations)} timing violation(s)")
         if violations:
-            for r in flat:
+            for r in results:
                 if r.extra.get("audit_violations"):
                     print(f"--- {r.workload} [{r.config}] ---",
                           file=sys.stderr)
@@ -371,7 +322,7 @@ def cmd_sweep(args) -> int:
     """Parallel, cached sweep over the benchmark x configuration grid."""
     from pathlib import Path
 
-    from repro.sim.sweep import RunCache, run_main_sweep, write_sweep_records
+    from repro.sim.sweep import RunCache, run_sweep
 
     if args.jobs is not None and args.jobs < 1:
         print(f"--jobs must be >= 1 (got {args.jobs}); omit it for the "
@@ -384,12 +335,16 @@ def cmd_sweep(args) -> int:
               f"{'y' if removed == 1 else 'ies'}", file=sys.stderr)
 
     try:
-        outcome = run_main_sweep(
+        tasks = main_sweep_tasks(
             quick=args.quick, benchmarks=args.benchmarks or None,
-            modes=tuple(args.configs),
-            jobs=args.jobs, cache=not args.no_cache,
-            cache_dir=args.cache_dir, sample_every=args.sample_every,
+            modes=tuple(args.configs), sample_every=args.sample_every,
             dram=args.dram)
+    except KeyError as exc:   # an unknown benchmark name
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    try:
+        outcome = run_sweep(tasks, jobs=args.jobs, cache=not args.no_cache,
+                            cache_dir=args.cache_dir)
     except ValueError as exc:   # e.g. a bad REPRO_JOBS value
         print(exc, file=sys.stderr)
         return 2
@@ -409,7 +364,6 @@ def cmd_campaign(args) -> int:
     """Create or resume a campaign and drive it to completion."""
     import time as _time
 
-    from repro.obs.events import EventBus
     from repro.sim.fabric import (
         RetryPolicy, build_tasks, campaign_dir, campaign_status,
         create_campaign, run_campaign,
@@ -460,19 +414,15 @@ def cmd_campaign(args) -> int:
               f"{status.done} already in the run cache, "
               f"{status.pending} to simulate", file=sys.stderr)
 
-    bus = EventBus(trace=False)
-
-    def render(mark) -> None:
-        pending, active, done, failed, cache_hits, eta = mark
+    def render(status, cache_hits, eta) -> None:
         eta_text = f", ~{eta:.0f}s left" if eta is not None else ""
-        print(f"  [{done} done | {active} active | {pending} pending | "
-              f"{failed} failed] cache hits {cache_hits}{eta_text}",
-              file=sys.stderr)
+        print(f"  [{status.done} done | {status.active} active | "
+              f"{status.pending} pending | {status.failed} failed] "
+              f"cache hits {cache_hits}{eta_text}", file=sys.stderr)
 
-    bus.campaign_listeners.append(render)
     summary = run_campaign(path, workers=args.workers,
                            cache=not args.no_cache,
-                           cache_dir=args.cache_dir, bus=bus)
+                           cache_dir=args.cache_dir, progress=render)
 
     print(f"\ncampaign {summary['id']}: {summary['done']}/{summary['total']} "
           f"done, {summary['failed']} failed "
@@ -488,22 +438,19 @@ def cmd_timeline(args) -> int:
     from repro.obs.events import EventBus
     from repro.obs.timeline import render_timeline
 
-    registry = QUICK_BENCHMARKS if args.quick else MAIN_BENCHMARKS
-    if args.benchmark not in registry:
+    try:
+        [task] = main_sweep_tasks(
+            quick=args.quick, benchmarks=[args.benchmark],
+            modes=(args.mode,), cores=args.cores,
+            sample_every=args.sample_every, dram=args.dram)
+    except KeyError:
         print(f"unknown benchmark {args.benchmark!r}", file=sys.stderr)
         return 2
     if args.sample_every <= 0:
         print("--sample-every must be positive", file=sys.stderr)
         return 2
-    config = CONFIG_BUILDERS[args.mode](args.cores)
-    if args.dram is not None:
-        config = replace(config, dram=dram_preset(args.dram))
-    wl = registry[args.benchmark]()
     obs = EventBus(trace=bool(args.trace), sample_every=args.sample_every)
-    if args.mode == "dx100":
-        result = run_dx100(wl, config, warm=False, obs=obs)
-    else:
-        result = run_baseline(wl, config, warm=False, obs=obs)
+    result, _ = execute_task(task, obs=obs)
 
     print(f"{args.benchmark} [{args.mode}]: {result.cycles} cycles, "
           f"BW {result.bandwidth_utilization:.2f}, "

@@ -179,7 +179,7 @@ class CommandAuditor:
         return self
 
     def check_log(self, log) -> "CommandAuditor":
-        """Replay a recorded ``command_log`` through the auditor."""
+        """Replay recorded ``(kind, cycle, bank, row)`` commands."""
         for kind, cycle, bank, row in log:
             self.observe(kind, cycle, bank, row)
         return self

@@ -99,8 +99,7 @@ class BatchedController:
     """
 
     def __init__(self, channel: int, config: DRAMConfig,
-                 mapper: AddressMapper,
-                 command_log_limit: int | None = None) -> None:
+                 mapper: AddressMapper) -> None:
         self.channel = channel
         self.config = config
         self.timing = config.timing
@@ -172,35 +171,10 @@ class BatchedController:
                      self._groups, self._hot, self._unindexed,
                      self._bank_list, self._rank_list, self._fb)
         self.command_observers: list = []
-        self.command_log: list[tuple] = []
-        self.command_log_limit = command_log_limit
         # Far-memory link (:class:`repro.dram.remote.RemoteLink`), shared
         # across channels; assigned by :class:`~repro.dram.system.DRAMSystem`
         # when the remote tier is enabled.  None = all addresses are local.
         self.remote = None
-
-    # ------------------------------------------------------------- observers
-
-    @property
-    def record_commands(self) -> bool:
-        """Whether commands are appended to ``command_log`` (legacy API)."""
-        return self._record_command in self.command_observers
-
-    @record_commands.setter
-    def record_commands(self, value: bool) -> None:
-        recording = self.record_commands
-        if value and not recording:
-            self.command_observers.append(self._record_command)
-        elif not value and recording:
-            self.command_observers.remove(self._record_command)
-
-    def _record_command(self, kind: str, cycle: int, bank: tuple,
-                        row: int) -> None:
-        limit = self.command_log_limit
-        if limit is not None and len(self.command_log) >= limit:
-            self.stats.add("command_log_dropped")
-            return
-        self.command_log.append((kind, cycle, bank, row))
 
     # ------------------------------------------------------------- producers
 

@@ -36,8 +36,7 @@ class MemoryController:
     """Timing model of a single DDR4 channel."""
 
     def __init__(self, channel: int, config: DRAMConfig,
-                 mapper: AddressMapper,
-                 command_log_limit: int | None = None) -> None:
+                 mapper: AddressMapper) -> None:
         self.channel = channel
         self.config = config
         self.timing = config.timing
@@ -70,44 +69,15 @@ class MemoryController:
         # moment a command's issue cycle is decided.  The legality auditor
         # (:class:`repro.dram.audit.CommandAuditor`), the observability
         # event bus (:class:`repro.obs.events.EventBus` — row-open tracks
-        # and the sampled timeline hang off this stream), and the legacy
-        # ``command_log`` recorder all attach here.
+        # and the sampled timeline hang off this stream) attach here; a
+        # plain ``lambda *c: log.append(c)`` records the stream.
         self.command_observers: list = []
-        self.command_log: list[tuple] = []
         # Far-memory link (:class:`repro.dram.remote.RemoteLink`), shared
         # across channels; assigned by :class:`~repro.dram.system.DRAMSystem`
         # when the remote tier is enabled.  None = all addresses are local.
         self.remote = None
-        # Bound on ``command_log`` growth (None = unlimited, the default).
-        # A full sweep with ``record_commands`` on accumulates hundreds of
-        # thousands of command tuples per channel; with a limit the log
-        # keeps the *first* ``command_log_limit`` commands (a legal prefix,
-        # still replayable through the auditor) and counts the rest in the
-        # ``command_log_dropped`` statistic.
-        self.command_log_limit = command_log_limit
 
     # ------------------------------------------------------------- observers
-
-    @property
-    def record_commands(self) -> bool:
-        """Whether commands are appended to ``command_log`` (legacy API)."""
-        return self._record_command in self.command_observers
-
-    @record_commands.setter
-    def record_commands(self, value: bool) -> None:
-        recording = self.record_commands
-        if value and not recording:
-            self.command_observers.append(self._record_command)
-        elif not value and recording:
-            self.command_observers.remove(self._record_command)
-
-    def _record_command(self, kind: str, cycle: int, bank: tuple,
-                        row: int) -> None:
-        limit = self.command_log_limit
-        if limit is not None and len(self.command_log) >= limit:
-            self.stats.add("command_log_dropped")
-            return
-        self.command_log.append((kind, cycle, bank, row))
 
     def _emit(self, kind: str, cycle: int, coord: DRAMCoord) -> None:
         for obs in self.command_observers:

@@ -25,15 +25,14 @@ class DRAMSystem:
     per-request oracle, :class:`~repro.dram.controller.MemoryController`).
     Both produce bitwise-identical command streams and metrics.
 
-    ``audit=True`` (or ``config.audit``) attaches one
+    ``config.audit`` attaches one
     :class:`~repro.dram.audit.CommandAuditor` to every channel's command
     stream, checking the full JEDEC constraint set online; see
     :meth:`audit_violations` / :meth:`assert_audit_clean`.
     """
 
     def __init__(self, config: DRAMConfig | None = None,
-                 mapper: AddressMapper | None = None,
-                 audit: bool | None = None) -> None:
+                 mapper: AddressMapper | None = None) -> None:
         self.config = config or DRAMConfig()
         self.mapper = mapper or AddressMapper(self.config)
         if self.config.engine == "batched":
@@ -53,7 +52,7 @@ class DRAMSystem:
             for ctrl in self.controllers:
                 ctrl.remote = self.remote
         self.auditor: CommandAuditor | None = None
-        if self.config.audit if audit is None else audit:
+        if self.config.audit:
             self.auditor = CommandAuditor(self.config.timing,
                                           refresh=self.config.refresh)
             for ctrl in self.controllers:

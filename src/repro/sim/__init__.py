@@ -7,15 +7,12 @@ from repro.sim.fabric import (
 )
 from repro.sim.metrics import RunResult, collect
 from repro.sim.report import bar_chart, comparison_table, to_csv
-from repro.sim.runner import (
-    compare, run_baseline, run_dmp, run_dx100, software_pipeline,
-)
+from repro.sim.runner import run_baseline, run_dx100, software_pipeline
 from repro.sim.scale import run_dx100_multi
 from repro.sim.statsdump import dump_stats, format_stats, write_stats
 from repro.sim.specs import expand_sweep_tasks, parse_spec
 from repro.sim.sweep import (
-    RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_main_sweep,
-    run_sweep,
+    RunCache, SweepOutcome, SweepTask, main_sweep_tasks, run_sweep,
 )
 from repro.sim.system import SimSystem
 
@@ -34,7 +31,6 @@ __all__ = [
     "build_tasks",
     "campaign_status",
     "collect",
-    "compare",
     "comparison_table",
     "create_campaign",
     "dump_stats",
@@ -46,10 +42,8 @@ __all__ = [
     "run_baseline",
     "run_campaign",
     "run_corun",
-    "run_dmp",
     "run_dx100",
     "run_dx100_multi",
-    "run_main_sweep",
     "run_sweep",
     "software_pipeline",
     "to_csv",

@@ -48,9 +48,10 @@ construction (deterministic seeds + bump-pointer allocation; pinned by
 executor that reuses datasets: ``python -m repro sweep`` generates every
 run's dataset afresh.
 
-Progress streams through the :mod:`repro.obs` event bus: the monitor
-publishes ``campaign_progress`` marks (pending/active/done/failed,
-cache hits, ETA) that the CLI renders live.
+Progress is a plain callback: :func:`run_campaign` calls
+``progress(status, cache_hits, eta_s)`` as tasks settle, and the CLI
+renders each call as a live status line.  Paper-scale tasks ride the same
+path (``scale=full``), so a long ``--scale full`` grid is resumable too.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from repro.sim.sweep import (
     result_to_dict, workload_fingerprint,
 )
 
-FABRIC_SCHEMA = 1
+FABRIC_SCHEMA = 2
 
 DEFAULT_CAMPAIGN_ROOT = Path("results") / ".campaigns"
 
@@ -174,11 +175,10 @@ def build_tasks(spec_text: str) -> list[CampaignTask]:
     tasks: list[CampaignTask] = []
     taken: set[str] = set()
     for sweep in expand_sweep_tasks(spec):
-        scale = "quick" if sweep.quick else "main"
-        tid = _unique_tid(f"{sweep.benchmark}.{scale}.{sweep.mode}", taken)
-        tasks.append(CampaignTask(
-            tid=tid, kind="sweep", group=f"{sweep.benchmark}.{scale}",
-            sweep=sweep))
+        group = f"{sweep.benchmark}.{sweep.scale}"
+        tid = _unique_tid(f"{group}.{sweep.mode}", taken)
+        tasks.append(CampaignTask(tid=tid, kind="sweep", group=group,
+                                  sweep=sweep))
     for params in expand_serve_params(spec):
         base = f"serve.t{params['tenants']}.{params['dram']}"
         if params["aggressor"] >= 0:
@@ -778,16 +778,18 @@ def campaign_status(path: str | Path) -> CampaignStatus:
 def run_campaign(path: str | Path, workers: int = 1,
                  cache: bool = True,
                  cache_dir: str | Path | None = None,
-                 bus: Any = None,
+                 progress: Callable[[CampaignStatus, int, float | None],
+                                    None] | None = None,
                  poll_s: float = 0.5) -> dict[str, Any]:
     """Execute a campaign with ``workers`` processes and return the final
     summary (also written to ``summary.md``).
 
     ``workers=1`` runs the loop in-process (strictly serial — the
     determinism-test twin of ``run_sweep(jobs=1)``); more workers fork a
-    fleet and the parent monitors the manifest, publishing
-    ``campaign_progress`` marks on ``bus`` (a
-    :class:`repro.obs.events.EventBus`) as tasks settle.
+    fleet and the parent monitors the manifest.  Either way ``progress``
+    is called as ``progress(status, cache_hits, eta_s)`` while tasks
+    settle and once more with the final status (``eta_s`` is wall-clock
+    seconds, or None before any task has finished).
     """
     if workers < 1:
         raise ValueError(f"campaign needs at least one worker, got {workers}")
@@ -797,21 +799,19 @@ def run_campaign(path: str | Path, workers: int = 1,
     baseline_done = campaign_status(path).done   # cache-dedupe prefills
 
     def publish(status: CampaignStatus) -> None:
-        if bus is None:
+        if progress is None:
             return
         fresh = status.done - baseline_done
         elapsed = time.time() - started
         rate = fresh / elapsed if elapsed > 0 and fresh else 0.0
         remaining = status.pending + status.active
-        eta = remaining / rate if rate > 0 else None
-        bus.campaign_progress(status.pending, status.active, status.done,
-                              status.failed, cache_hits=baseline_done,
-                              eta_s=eta)
+        progress(status, baseline_done,
+                 remaining / rate if rate > 0 else None)
 
     if workers == 1:
         worker_loop(path, cache=cache, cache_dir=cache_dir,
                     progress=(lambda record: publish(campaign_status(path)))
-                    if bus is not None else None)
+                    if progress is not None else None)
     else:
         ctx = _pool_context()
         procs = [

@@ -57,7 +57,7 @@ _MODES = ("baseline", "dx100")
 def memtech_tasks(benchmark: str = "IS", cores: int = 2) -> list[SweepTask]:
     """The scenario grid on one quick benchmark, scenario-major."""
     return [
-        SweepTask(benchmark=benchmark, mode=mode, quick=True,
+        SweepTask(benchmark=benchmark, mode=mode, scale="quick",
                   config=replace(CONFIG_BUILDERS[mode](cores),
                                  dram=MEMTECH_DRAM[scenario]()))
         for scenario, mode in product(MEMTECH_SCENARIOS, _MODES)

@@ -1,11 +1,14 @@
 """Experiment runner: execute a workload under each system configuration.
 
-Three run modes mirror the paper's evaluation:
+Two runners cover the paper's three run modes:
 
-* ``run_baseline``  — the legacy multicore code (Table 3 baseline);
-* ``run_dmp``       — baseline plus the DMP indirect prefetcher;
+* ``run_baseline``  — the legacy multicore code (Table 3 baseline); with
+  a DMP configuration, plus the DMP indirect prefetcher;
 * ``run_dx100``     — the offloaded code: the DX100 program interleaved
   with residual core work, synchronized through scratchpad ready bits.
+
+:func:`repro.sim.sweep.execute_task` is the one place that picks the
+runner for a task's mode.
 
 DX100 runs also *validate*: the host-memory state after the program must
 match the workload's NumPy reference.
@@ -75,11 +78,6 @@ def run_baseline(workload: Workload, config: SystemConfig | None = None,
     with timers.stage("collect"):
         return collect(system, workload.name, config.name, finish,
                        instructions, extra)
-
-
-def run_dmp(workload: Workload, cores: int = 4,
-            warm: bool = True) -> RunResult:
-    return run_baseline(workload, SystemConfig.dmp_system(cores), warm)
 
 
 def software_pipeline(schedule: list) -> list:
@@ -195,17 +193,3 @@ def _mean_coalescing(dx) -> float:
     if not factors:
         return 1.0
     return sum(factors) / len(factors)
-
-
-def compare(workload_factory, cores: int = 4, warm: bool = True,
-            tile_elems: int = 16 * 1024) -> dict[str, RunResult]:
-    """Run one workload in all three configurations (fresh instances)."""
-    results = {}
-    results["baseline"] = run_baseline(workload_factory(),
-                                       SystemConfig.baseline(cores), warm)
-    results["dmp"] = run_baseline(workload_factory(),
-                                  SystemConfig.dmp_system(cores), warm)
-    results["dx100"] = run_dx100(
-        workload_factory(),
-        SystemConfig.dx100_system(cores, tile_elems=tile_elems), warm)
-    return results

@@ -15,7 +15,8 @@ the tile axis instead of replicating).  Value lists compose three forms:
   included as the final point, so ``4k:48k`` -> 4k,8k,16k,32k,48k);
 * **suffixes** — integers accept ``k``/``m``/``g`` (powers of 1024);
 * **globs** — benchmark names match ``fnmatch`` patterns against the
-  registry (``G*`` selects GZZ, GZZI, GZP, GZPI).
+  chosen scale's registry (``G*`` selects GZZ, GZZI, GZP, GZPI; at
+  ``scale=full`` only IS, CG and XRAGE are sized).
 
 Dimensions (all optional; a spec of ``""`` is the full default grid):
 
@@ -27,7 +28,7 @@ modes        baseline, dmp, dx100 (alias: ``configs``)           all three
 dram         DRAM_PRESETS registry: ddr4, ddr5, cxl              ddr4
 tile         DX100 tile elements (dx100 tasks only)              config
 cores        core counts                                         4
-scale        quick, main                                         main
+scale        SCALES registry: quick, main, full                  main
 sample       timeline sampling period in cycles                  0 (off)
 tenants      serving-layer tenant counts (opens the serve axis)  --
 aggressor    tenant index flooding the serve runs (-1 = none)    -1
@@ -60,6 +61,7 @@ from repro.common.config import (
     DX100Config, RemoteLinkConfig, SystemConfig, dram_preset,
 )
 from repro.sim.sweep import CONFIG_BUILDERS, MODES, SweepTask
+from repro.workloads.registry import SCALES
 
 
 class SpecError(ValueError):
@@ -92,7 +94,7 @@ _CHOICES = {
     # technology (e.g. ``cxl``) is accepted here the moment it exists —
     # the grammar can never lag the config layer.
     "dram": set(DRAM_PRESETS),
-    "scale": {"quick", "main"},
+    "scale": set(SCALES),
 }
 
 _INT_DIMS = {"tile", "cores", "sample", "tenants", "aggressor"}
@@ -180,19 +182,18 @@ def parse_spec(text: str) -> dict[str, list[int | str]]:
     return spec
 
 
-def _match_benchmarks(patterns: list[int | str]) -> list[str]:
-    """Glob-expand benchmark patterns against the registry, in registry
-    order, erroring on patterns that match nothing."""
-    from repro.workloads import MAIN_BENCHMARKS
-    names = list(MAIN_BENCHMARKS)
+def _match_benchmarks(patterns: list[int | str], scale: str) -> list[str]:
+    """Glob-expand benchmark patterns against ``scale``'s registry, in
+    registry order, erroring on patterns that match nothing."""
+    names = list(SCALES[scale])
     selected: list[str] = []
     for pattern in patterns:
         pat = str(pattern)
         hits = [n for n in names if fnmatch.fnmatchcase(n, pat)]
         if not hits:
             raise SpecError(
-                f"benchmark pattern {pat!r} matches nothing "
-                f"(registry: {', '.join(names)})")
+                f"benchmark pattern {pat!r} matches nothing at scale "
+                f"{scale} (registry: {', '.join(names)})")
         selected.extend(h for h in hits if h not in selected)
     return selected
 
@@ -207,7 +208,7 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
     axis and names no sweep-only dimension has no sweep grid."""
     if "tenants" in spec and not any(key in spec for key in SWEEP_ONLY):
         return []
-    benchmarks = _match_benchmarks(spec.get("benchmarks", ["*"]))
+    patterns = spec.get("benchmarks", ["*"])
     modes = [str(m) for m in spec.get("modes", list(MODES))]
     drams = [str(d) for d in spec.get("dram", ["ddr4"])]
     tiles: list[int | None] = list(spec["tile"]) if "tile" in spec \
@@ -217,9 +218,9 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
     sample = int(spec.get("sample", [0])[0])  # type: ignore[arg-type]
 
     tasks: list[SweepTask] = []
-    seen: set[str] = set()
+    seen: set[SweepTask] = set()
     for scale in scales:
-        for name in benchmarks:
+        for name in _match_benchmarks(patterns, scale):
             for mode in modes:
                 for dram in drams:
                     for tile in tiles:
@@ -231,12 +232,10 @@ def expand_sweep_tasks(spec: dict[str, list[int | str]]) -> list[SweepTask]:
                                     config,
                                     dx100=config.dx100.with_tile(int(tile)))
                             task = SweepTask(
-                                benchmark=name, mode=mode,
-                                quick=(scale == "quick"), config=config,
-                                sample_every=sample)
-                            key = task.key()
-                            if key not in seen:
-                                seen.add(key)
+                                benchmark=name, mode=mode, scale=scale,
+                                config=config, sample_every=sample)
+                            if task not in seen:
+                                seen.add(task)
                                 tasks.append(task)
     return tasks
 
@@ -306,7 +305,7 @@ def sweep_task_to_dict(task: SweepTask) -> dict[str, Any]:
     return {
         "benchmark": task.benchmark,
         "mode": task.mode,
-        "quick": task.quick,
+        "scale": task.scale,
         "warm": task.warm,
         "sample_every": task.sample_every,
         "config": system_config_to_dict(task.config),
@@ -316,7 +315,7 @@ def sweep_task_to_dict(task: SweepTask) -> dict[str, Any]:
 def sweep_task_from_dict(data: dict[str, Any]) -> SweepTask:
     return SweepTask(
         benchmark=data["benchmark"], mode=data["mode"],
-        quick=data["quick"], warm=data.get("warm", False),
+        scale=data["scale"], warm=data.get("warm", False),
         sample_every=data.get("sample_every", 0),
         config=system_config_from_dict(data["config"]),
     )

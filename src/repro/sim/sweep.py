@@ -23,9 +23,11 @@ across modes is the campaign fabric's job (:mod:`repro.sim.fabric`).
 Entry points:
 
 * :func:`run_sweep` — execute a list of :class:`SweepTask`;
-* :func:`main_sweep_tasks` / :func:`run_main_sweep` — the Figure 9-12
-  benchmark x configuration grid (``benchmarks/mainsweep.py`` delegates
-  here, and ``python -m repro sweep`` exposes it on the command line);
+* :func:`execute_task` — run one task (``python -m repro run`` and
+  ``timeline`` call it directly, with their own event bus);
+* :func:`main_sweep_tasks` — the Figure 9-12 benchmark x configuration
+  grid (``benchmarks/mainsweep.py``, ``python -m repro sweep``, ``run``
+  and ``timeline`` build their tasks with it);
 * :func:`write_sweep_records` — the sweep's one record,
   ``results/sweep.json`` (model version, per-run wall and every
   ``RunResult``);
@@ -46,6 +48,7 @@ from pathlib import Path
 
 from repro.common.config import SystemConfig
 from repro.sim.metrics import RunResult
+from repro.workloads.registry import SCALES
 
 MODES = ("baseline", "dmp", "dx100")
 
@@ -118,7 +121,7 @@ class SweepTask:
 
     benchmark: str            # registry name, e.g. "IS"
     mode: str                 # baseline | dmp | dx100
-    quick: bool               # QUICK_BENCHMARKS vs MAIN_BENCHMARKS sizes
+    scale: str                # a SCALES key: quick | main | full
     config: SystemConfig
     warm: bool = False
     #: Observability sampling period in cycles (0 = off).  When nonzero the
@@ -130,24 +133,28 @@ class SweepTask:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r} (want {MODES})")
+        if self.scale not in SCALES:
+            raise ValueError(f"unknown scale {self.scale!r} (want "
+                             f"{', '.join(SCALES)})")
+        if self.benchmark not in SCALES[self.scale]:
+            raise ValueError(
+                f"unknown benchmark {self.benchmark!r} at scale "
+                f"{self.scale}: {', '.join(SCALES[self.scale])}")
 
     def factory(self):
-        from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-        registry = QUICK_BENCHMARKS if self.quick else MAIN_BENCHMARKS
-        if self.benchmark not in registry:
-            raise KeyError(f"unknown benchmark {self.benchmark!r}")
-        return registry[self.benchmark]
+        return SCALES[self.scale][self.benchmark]
 
     def key(self) -> str:
         """Content-addressed cache key for this task.
 
         ``frontend`` and ``scale`` are named explicitly even though both
         are derivable (``config.frontend`` rides in via ``asdict``, and
-        ``quick`` implies the registry): the simulation front-end and the
-        dataset scale each select a different engine/workload pairing, and
-        an aliased cache hit across either would silently replay the wrong
-        run.  Keeping them as top-level key fields makes that impossible
-        to regress by refactoring the config dict.
+        the workload fingerprint carries the scale's sizes): the
+        simulation front-end and the dataset scale each select a
+        different engine/workload pairing, and an aliased cache hit
+        across either would silently replay the wrong run.  Keeping them
+        as top-level key fields makes that impossible to regress by
+        refactoring the config dict.
         """
         payload = {
             "schema": CACHE_SCHEMA,
@@ -157,7 +164,7 @@ class SweepTask:
             "warm": self.warm,
             "sample_every": self.sample_every,
             "frontend": self.config.frontend,
-            "scale": "quick" if self.quick else "main",
+            "scale": self.scale,
             "config": asdict(self.config),
         }
         blob = json.dumps(payload, sort_keys=True, default=str)
@@ -206,7 +213,7 @@ class RunCache:
             "model": model_version(),
             "benchmark": task.benchmark,
             "mode": task.mode,
-            "quick": task.quick,
+            "scale": task.scale,
             "result": result_to_dict(result),
         }
         # Per-process temp name: concurrent sweeps (or a sweep racing a
@@ -246,14 +253,17 @@ class RunCache:
 
 # ---------------------------------------------------------------- execution
 
-def execute_task(task: SweepTask,
-                 workload=None) -> tuple[RunResult, float]:
+def execute_task(task: SweepTask, workload=None,
+                 obs=None) -> tuple[RunResult, float]:
     """Run one task from scratch; returns (result, wall seconds).
 
     ``workload`` lets the campaign fabric pass a prepared instance (with
     the generate stage snapshotted by its :class:`GenerateCache`); the
     default builds a fresh one from the registry, which is the path every
-    golden metric is pinned against.
+    golden metric is pinned against.  ``obs`` is the run's
+    :class:`repro.obs.events.EventBus` (``run --trace`` and ``timeline``
+    pass their own); by default a nonzero ``task.sample_every`` attaches
+    a trace-less one.
 
     The cyclic GC is paused for the duration of the run: the simulators
     allocate millions of short-lived records (ops, results, heap nodes)
@@ -266,8 +276,7 @@ def execute_task(task: SweepTask,
     t0 = time.perf_counter()
     if workload is None:
         workload = task.factory()()
-    obs = None
-    if task.sample_every:
+    if obs is None and task.sample_every:
         from repro.obs.events import EventBus
         obs = EventBus(trace=False, sample_every=task.sample_every)
     gc_was_enabled = gc.isenabled()
@@ -299,7 +308,7 @@ class TaskRun:
     result: RunResult
     wall: float               # seconds simulating (0.0 for a cache hit)
     cached: bool
-    key: str
+    key: str                  # cache key ("" when run without a cache)
 
 
 @dataclass
@@ -346,7 +355,7 @@ class SweepOutcome:
                 {
                     "benchmark": r.task.benchmark,
                     "mode": r.task.mode,
-                    "quick": r.task.quick,
+                    "scale": r.task.scale,
                     "key": r.key,
                     "cached": r.cached,
                     "wall_s": round(r.wall, 3),
@@ -405,7 +414,9 @@ def run_sweep(tasks: list[SweepTask], jobs: int | None = None,
     store = RunCache(cache_dir) if cache else None
     t0 = time.perf_counter()
 
-    keys = [task.key() for task in tasks]
+    # A key costs a workload construction and a config hash; without a
+    # cache there is nothing to address.
+    keys = [task.key() if store is not None else "" for task in tasks]
     settled: list[TaskRun | None] = [None] * len(tasks)
     misses: list[int] = []
     hits = 0
@@ -455,9 +466,11 @@ def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
     ``dram`` swaps the whole memory technology via
     :data:`repro.common.config.DRAM_PRESETS` (``"cxl"`` puts the pool
     behind the modeled far-memory link); ``audit`` composes on top.
+    Paper-scale callers build the main grid and ``replace(task,
+    scale="full")``.
     """
-    from repro.workloads import MAIN_BENCHMARKS, QUICK_BENCHMARKS
-    registry = QUICK_BENCHMARKS if quick else MAIN_BENCHMARKS
+    scale = "quick" if quick else "main"
+    registry = SCALES[scale]
     names = list(registry) if benchmarks is None else list(benchmarks)
     unknown = [n for n in names if n not in registry]
     if unknown:
@@ -472,23 +485,10 @@ def main_sweep_tasks(quick: bool = False, benchmarks: list[str] | None = None,
             if audit:
                 config = replace(config,
                                  dram=replace(config.dram, audit=True))
-            tasks.append(SweepTask(benchmark=name, mode=mode, quick=quick,
+            tasks.append(SweepTask(benchmark=name, mode=mode, scale=scale,
                                    config=config,
                                    sample_every=sample_every))
     return tasks
-
-
-def run_main_sweep(quick: bool = False,
-                   benchmarks: list[str] | None = None,
-                   modes: tuple[str, ...] = MODES,
-                   jobs: int | None = None, cache: bool = True,
-                   cache_dir: str | Path | None = None,
-                   sample_every: int = 0,
-                   dram: str | None = None) -> SweepOutcome:
-    """Run the main-evaluation grid; :func:`write_sweep_records` saves it."""
-    tasks = main_sweep_tasks(quick=quick, benchmarks=benchmarks, modes=modes,
-                             sample_every=sample_every, dram=dram)
-    return run_sweep(tasks, jobs=jobs, cache=cache, cache_dir=cache_dir)
 
 
 def write_sweep_records(outcome: SweepOutcome,

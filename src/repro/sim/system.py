@@ -18,11 +18,10 @@ class SimSystem:
 
     def __init__(self, config: SystemConfig,
                  mem_bytes: int = 1 << 26,
-                 audit: bool | None = None,
                  obs=None) -> None:
         batched = config.frontend == "batched"
         self.config = config
-        self.dram = DRAMSystem(config.dram, audit=audit)
+        self.dram = DRAMSystem(config.dram)
         self.hierarchy = (BatchedHierarchy if batched
                           else MemoryHierarchy)(config, self.dram)
         self.hostmem = HostMemory(mem_bytes)

@@ -11,7 +11,7 @@ from repro.workloads.micro import (
 )
 from repro.workloads.nas import ConjugateGradient, IntegerSort
 from repro.workloads.registry import (
-    FULL_BENCHMARKS, MAIN_BENCHMARKS, QUICK_BENCHMARKS,
+    FULL_BENCHMARKS, MAIN_BENCHMARKS, QUICK_BENCHMARKS, SCALES,
 )
 from repro.workloads.spatter import SpatterXRAGE
 from repro.workloads.spatter_patterns import SpatterKernel, expand_spec
@@ -41,6 +41,7 @@ __all__ = [
     "RadixJoinHistogram",
     "RMWAtomic",
     "RMWNoAtom",
+    "SCALES",
     "Scatter",
     "SpatterKernel",
     "SpatterXRAGE",

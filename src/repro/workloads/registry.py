@@ -34,7 +34,7 @@ MAIN_BENCHMARKS: dict[str, WorkloadFactory] = {
 }
 
 # Paper-scale footprints (Section 5 sizes): datasets far past every cache
-# capacity, for the ``--scale full`` runner mode.  Only the batched
+# capacity, for ``scale="full"`` tasks.  Only the batched
 # front-end makes these tractable; entries carry the simulated-memory
 # footprint they need via ``mem_bytes``.
 def _sized(factory: WorkloadFactory, mem_bytes: int) -> WorkloadFactory:
@@ -69,4 +69,12 @@ QUICK_BENCHMARKS: dict[str, WorkloadFactory] = {
     "GZP": lambda: GZP(scale=1 << 13),
     "GZPI": lambda: GZPI(scale=1 << 9, zones=1 << 13),
     "XRAGE": lambda: SpatterXRAGE(scale=1 << 12, region=1 << 17),
+}
+
+# Dataset scale -> registry: the one place a scale name picks its sizes
+# (``SweepTask.scale``, the spec DSL's ``scale=`` and ``run --scale``).
+SCALES: dict[str, dict[str, WorkloadFactory]] = {
+    "quick": QUICK_BENCHMARKS,
+    "main": MAIN_BENCHMARKS,
+    "full": FULL_BENCHMARKS,
 }

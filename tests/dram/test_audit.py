@@ -44,12 +44,13 @@ def test_auditor_attaches_via_observer_hook():
 def test_observer_and_log_recorder_coexist():
     cfg = DRAMConfig(channels=1)
     ctrl = MemoryController(0, cfg, AddressMapper(cfg))
-    ctrl.record_commands = True
+    log = []
+    ctrl.command_observers.append(lambda *c: log.append(c))
     auditor = CommandAuditor(cfg.timing).attach(ctrl)
     _drive(ctrl, n=16)
-    assert auditor.commands_seen == len(ctrl.command_log)
+    assert auditor.commands_seen == len(log)
     # Replaying the recorded log reproduces the streaming verdict.
-    assert audit_log(ctrl.command_log, cfg.timing) == []
+    assert audit_log(log, cfg.timing) == []
 
 
 def test_dram_system_audit_knob():
@@ -72,9 +73,11 @@ def test_dram_system_audit_off_by_default():
 
 
 def test_sim_system_audit_passthrough():
+    from dataclasses import replace
     from repro.common import SystemConfig
     from repro.sim.system import SimSystem
-    system = SimSystem(SystemConfig.baseline_scaled(), audit=True)
+    config = SystemConfig.baseline_scaled()
+    system = SimSystem(replace(config, dram=replace(config.dram, audit=True)))
     assert system.dram.auditor is not None
 
 

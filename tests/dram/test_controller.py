@@ -130,29 +130,3 @@ def test_writes_update_write_stats(single_channel):
     assert ctrl.stats.get("writes") == 1
     assert ctrl.stats.get("bytes") == 64
 
-
-def test_command_log_limit_bounds_growth():
-    cfg = DRAMConfig(channels=1)
-    mapper = AddressMapper(cfg)
-    ctrl = MemoryController(0, cfg, mapper, command_log_limit=10)
-    ctrl.record_commands = True
-    for c in range(64):
-        ctrl.enqueue(DRAMRequest(_addr(mapper, row=c % 4, column=c),
-                                 False, arrival=0))
-    ctrl.drain()
-    assert len(ctrl.command_log) == 10
-    assert ctrl.stats.get("command_log_dropped") > 0
-    # The retained prefix is still in issue order (a replayable stream).
-    cycles = [cycle for _, cycle, _, _ in ctrl.command_log]
-    assert cycles == sorted(cycles)
-
-
-def test_command_log_unlimited_by_default(single_channel):
-    cfg, mapper, ctrl = single_channel
-    ctrl.record_commands = True
-    for c in range(64):
-        ctrl.enqueue(DRAMRequest(_addr(mapper, row=c % 4, column=c),
-                                 False, arrival=0))
-    ctrl.drain()
-    assert len(ctrl.command_log) >= 64        # RD per request + ACT/PREs
-    assert ctrl.stats.get("command_log_dropped") == 0

@@ -26,11 +26,12 @@ def run_commands(addr_writes, buffer=32, **cfg_kwargs):
     cfg = DRAMConfig(channels=1, request_buffer=buffer, **cfg_kwargs)
     mapper = AddressMapper(cfg)
     ctrl = MemoryController(0, cfg, mapper)
-    ctrl.record_commands = True
+    log = []
+    ctrl.command_observers.append(lambda *c: log.append(c))
     for i, (addr, is_write) in enumerate(addr_writes):
         ctrl.enqueue(DRAMRequest(addr & ~63, is_write, arrival=i))
     ctrl.drain()
-    return ctrl.command_log
+    return log
 
 
 def check_legality(log, timing=None):
@@ -101,11 +102,3 @@ def test_multirank_schedule_is_legal(reqs, page_policy):
     log = run_commands([(a, w) for a, w in reqs], ranks=2,
                        page_policy=page_policy)
     check_legality(log)
-
-
-def test_command_log_off_by_default():
-    cfg = DRAMConfig(channels=1)
-    ctrl = MemoryController(0, cfg, AddressMapper(cfg))
-    ctrl.enqueue(DRAMRequest(0, False, arrival=0))
-    ctrl.drain()
-    assert ctrl.command_log == []

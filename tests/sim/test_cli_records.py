@@ -9,6 +9,8 @@ the sweep its ``results/sweep.json``, the campaign its manifest and
 import pytest
 
 from repro.__main__ import main
+from repro.sim.report import to_csv
+from repro.sim.sweep import main_sweep_tasks, run_sweep
 
 
 def test_sweep_and_campaign_write_only_under_results(tmp_path, monkeypatch):
@@ -30,8 +32,23 @@ def test_sweep_and_campaign_write_only_under_results(tmp_path, monkeypatch):
     assert (work / "results" / ".campaigns" / "one" / "summary.md").is_file()
 
 
+def test_run_and_sweep_agree_bitwise(tmp_path, monkeypatch):
+    """``run`` executes the same tasks as ``sweep`` through the same
+    executor, so its CSV equals the sweep's, byte for byte."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "run.csv"
+    assert main(["run", "IS", "PR", "--quick", "--configs", "baseline",
+                 "dx100", "--csv", str(path)]) == 0
+    outcome = run_sweep(main_sweep_tasks(
+        quick=True, benchmarks=["IS", "PR"], modes=("baseline", "dx100")),
+        jobs=1, cache=False)
+    assert path.read_text() == to_csv([r.result for r in outcome.runs])
+    assert [p.name for p in tmp_path.rglob("*")] == ["run.csv"]
+
+
 #: (command line, argparse dest of an option the command no longer has).
 REMOVED_OPTIONS = [
+    (["run", "IS", "--quick"], "stats_dir"),
     (["sweep", "IS", "--quick"], "affinity"),
     (["sweep", "IS", "--quick"], "profile"),
     (["campaign", "benchmarks=IS"], "no_bench"),

@@ -16,6 +16,7 @@ from repro.sim.fabric import (
     complete_task, create_campaign, fail_task, load_campaign,
     reclaim_expired, run_campaign, worker_loop,
 )
+from repro.sim.specs import SpecError
 from repro.sim.sweep import (
     execute_task, main_sweep_tasks, result_to_dict, run_sweep,
 )
@@ -43,6 +44,17 @@ def test_build_tasks_assigns_stable_readable_ids():
     assert tids == ["IS.quick.baseline", "IS.quick.dmp", "IS.quick.dx100",
                     "IS.quick.dx100.2", "serve.t2.ddr4"]
     assert len(set(tids)) == len(tids)
+
+
+def test_paper_scale_axis_expands_only_the_sized_benchmarks():
+    tasks = build_tasks("benchmarks=IS,CG,XRAGE modes=dx100 scale=full")
+    assert [t.tid for t in tasks] == ["IS.full.dx100", "CG.full.dx100",
+                                      "XRAGE.full.dx100"]
+    assert [t.group for t in tasks] == ["IS.full", "CG.full", "XRAGE.full"]
+    assert [t.tid for t in build_tasks("modes=dx100 scale=full")] == \
+        [t.tid for t in tasks]
+    with pytest.raises(SpecError, match="'BFS' matches nothing at scale full"):
+        build_tasks("benchmarks=BFS scale=full")
 
 
 def test_campaign_round_trips_through_the_manifest(tmp_path):
@@ -239,6 +251,17 @@ def test_campaign_results_are_bitwise_identical_to_direct_runs(tmp_path):
     for task in tasks:
         direct, _ = execute_task(task.sweep)
         assert done[task.tid]["result"] == result_to_dict(direct), task.tid
+
+
+def test_run_campaign_reports_progress_through_a_callback(tmp_path):
+    path, tasks = _campaign(tmp_path, spec="benchmarks=IS modes=baseline "
+                            "scale=quick")
+    calls = []
+    run_campaign(path, workers=1, cache=False,
+                 progress=lambda *args: calls.append(args))
+    status, cache_hits, _eta = calls[-1]
+    assert status.done == status.total == len(tasks)
+    assert cache_hits == 0
 
 
 def test_generate_cache_reuses_snapshots_within_a_dataset():

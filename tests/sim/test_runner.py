@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common import SystemConfig
-from repro.sim import SimSystem, compare, run_baseline, run_dmp, run_dx100
+from repro.sim import SimSystem, run_baseline, run_dx100
 from repro.workloads import QUICK_BENCHMARKS, GatherFull, IntegerSort
 
 
@@ -39,13 +39,18 @@ def test_run_dx100_requires_dx_config():
 
 def test_dmp_run_issues_prefetches():
     wl = QUICK_BENCHMARKS["IS"]()
-    result = run_dmp(wl, warm=False)
+    result = run_baseline(wl, SystemConfig.dmp_system(), warm=False)
     assert result.config == "dmp"
     assert result.extra["dmp_prefetches"] > 0
 
 
 def test_compare_runs_all_three_configs():
-    results = compare(lambda: GatherFull(1024), tile_elems=1024)
+    results = {
+        "baseline": run_baseline(GatherFull(1024), SystemConfig.baseline()),
+        "dmp": run_baseline(GatherFull(1024), SystemConfig.dmp_system()),
+        "dx100": run_dx100(GatherFull(1024),
+                           SystemConfig.dx100_system(tile_elems=1024)),
+    }
     assert set(results) == {"baseline", "dmp", "dx100"}
     speedup = results["dx100"].speedup_over(results["baseline"])
     assert speedup > 1.0

@@ -82,7 +82,7 @@ def test_benchmark_globs_match_the_registry_in_order():
 def test_empty_spec_is_the_full_default_grid():
     tasks = expand_sweep_tasks(parse_spec(""))
     assert len(tasks) == 12 * len(MODES)
-    assert all(not t.quick for t in tasks)
+    assert all(t.scale == "main" for t in tasks)
 
 
 def test_serve_only_spec_builds_no_sweep_grid():

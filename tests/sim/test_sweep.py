@@ -11,7 +11,7 @@ from repro.sim.sweep import (
     RunCache, SweepTask, diff_golden, execute_task, golden_snapshot,
     main_sweep_tasks, model_version, run_sweep, workload_fingerprint,
 )
-from repro.workloads import QUICK_BENCHMARKS
+from repro.workloads import FULL_BENCHMARKS, QUICK_BENCHMARKS
 
 
 def _tasks(benchmarks=("IS",), modes=("baseline", "dx100")):
@@ -37,6 +37,8 @@ def test_parallel_sweep_matches_serial_and_direct_runs():
         runs = outcome.nested()["IS"]
         for mode, want in direct.items():
             assert asdict(runs[mode]) == asdict(want), mode
+    # Without a cache there is nothing to address: no key is computed.
+    assert all(run.key == "" for run in serial.runs + parallel.runs)
 
 
 def test_task_order_is_preserved():
@@ -100,7 +102,7 @@ def test_key_is_stable_and_content_sensitive():
         a.config, llc=replace(a.config.llc, size_bytes=2560 * 1024)))
     assert other_config.key() != a.key()
 
-    other_size = replace(a, quick=False)   # MAIN vs QUICK constructor params
+    other_size = replace(a, scale="main")  # MAIN vs QUICK constructor params
     assert other_size.key() != a.key()
 
 
@@ -154,8 +156,19 @@ def test_unknown_benchmark_and_mode_are_rejected():
     with pytest.raises(KeyError):
         main_sweep_tasks(quick=True, benchmarks=["NOPE"])
     with pytest.raises(ValueError):
-        SweepTask(benchmark="IS", mode="turbo", quick=True,
+        SweepTask(benchmark="IS", mode="turbo", scale="quick",
                   config=SystemConfig.baseline_scaled())
+
+
+def test_scale_and_benchmark_are_checked_at_construction():
+    config = SystemConfig.dx100_scaled()
+    with pytest.raises(ValueError, match="at scale full: IS, CG, XRAGE"):
+        SweepTask(benchmark="BFS", mode="dx100", scale="full", config=config)
+    with pytest.raises(ValueError, match="'huge' .*quick, main, full"):
+        SweepTask(benchmark="IS", mode="dx100", scale="huge", config=config)
+    # Paper scale is the main grid's task with its scale replaced.
+    (task,) = main_sweep_tasks(benchmarks=["CG"], modes=("dx100",))
+    assert replace(task, scale="full").factory() is FULL_BENCHMARKS["CG"]
 
 
 # ------------------------------------------------------------ golden diffs
