@@ -48,10 +48,10 @@ def test_run_and_sweep_agree_bitwise(tmp_path, monkeypatch):
 
 #: (command line, argparse dest of an option the command no longer has).
 REMOVED_OPTIONS = [
-    (["run", "IS", "--quick"], "stats_dir"),
     (["sweep", "IS", "--quick"], "affinity"),
     (["sweep", "IS", "--quick"], "profile"),
     (["campaign", "benchmarks=IS"], "no_bench"),
+    (["run", "IS", "--quick"], "stats_dir"),
 ]
 
 
